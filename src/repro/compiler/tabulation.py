@@ -35,7 +35,7 @@ from collections import OrderedDict
 import dataclasses
 from dataclasses import dataclass, field
 from threading import Lock
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -43,6 +43,7 @@ from scipy.optimize import minimize
 from repro.circuits.gate import Gate
 from repro.circuits.hashing import gate_fingerprint, hash_scalars
 from repro.config import flag_env, positive_int_env
+from repro.core import templates
 from repro.core.decomposer import LayerSolution, NuOpDecomposer
 from repro.gates.kak import canonical_invariants, local_invariants
 from repro.gates.parametric import canonical_gate
@@ -58,9 +59,11 @@ build cost.  Invalid values warn and keep the default."""
 
 _DEFAULT_GRID_RESOLUTION = 5
 
-TABULATION_SCHEMA_VERSION = 1
+TABULATION_SCHEMA_VERSION = 2
 """Folded into every table cache key; bump when the table layout, the
-grid construction or the polish contract changes."""
+grid construction or the polish contract changes.  The revision of the
+objective that builds the tables, ``templates.OBJECTIVE_VERSION``, is
+folded in separately."""
 
 _POLISH_OPTIONS = {"maxiter": 120, "ftol": 1e-13, "gtol": 1e-9}
 # Polish tolerances are looser than the full optimisation's
@@ -199,6 +202,7 @@ class TableSpec:
         return (
             "decomp-table",
             TABULATION_SCHEMA_VERSION,
+            templates.OBJECTIVE_VERSION,
             self.target_key,
             self.target_fingerprint,
             self.resolution,
@@ -266,135 +270,6 @@ class DecompositionTable:
 # ---------------------------------------------------------------------------
 
 
-def _batched_u3(angles: np.ndarray) -> np.ndarray:
-    """U3 matrices for a batch of angle triples.
-
-    ``angles[..., (alpha, beta, lam)]`` maps to matrices of shape
-    ``angles.shape[:-1] + (2, 2)`` in the convention of
-    :func:`repro.gates.parametric.u3`.
-    """
-    alpha = angles[..., 0]
-    c = np.cos(alpha / 2.0)
-    s = np.sin(alpha / 2.0)
-    eb = np.exp(1j * angles[..., 1])
-    el = np.exp(1j * angles[..., 2])
-    matrices = np.empty(angles.shape[:-1] + (2, 2), dtype=complex)
-    matrices[..., 0, 0] = c
-    matrices[..., 0, 1] = -el * s
-    matrices[..., 1, 0] = eb * s
-    matrices[..., 1, 1] = eb * el * c
-    return matrices
-
-
-def _batched_u3_derivatives(angles: np.ndarray) -> np.ndarray:
-    """Batched :func:`repro.core.templates._u3_derivatives`.
-
-    Output shape is ``angles.shape[:-1] + (3, 2, 2)``: one 2x2 derivative
-    matrix per angle, per batch element.
-    """
-    alpha = angles[..., 0]
-    c = np.cos(alpha / 2.0)
-    s = np.sin(alpha / 2.0)
-    eb = np.exp(1j * angles[..., 1])
-    el = np.exp(1j * angles[..., 2])
-    ebl = eb * el
-    derivatives = np.zeros(angles.shape[:-1] + (3, 2, 2), dtype=complex)
-    derivatives[..., 0, 0, 0] = -0.5 * s
-    derivatives[..., 0, 0, 1] = -0.5 * el * c
-    derivatives[..., 0, 1, 0] = 0.5 * eb * c
-    derivatives[..., 0, 1, 1] = -0.5 * ebl * s
-    derivatives[..., 1, 1, 0] = 1j * eb * s
-    derivatives[..., 1, 1, 1] = 1j * ebl * c
-    derivatives[..., 2, 0, 1] = -1j * el * s
-    derivatives[..., 2, 1, 1] = 1j * ebl * c
-    return derivatives
-
-
-def _polish_objective_factory(target: np.ndarray, fixed_matrices: Sequence[np.ndarray]):
-    """Objective ``1 - |Tr(U^dagger target)| / 4`` over the U3 angles only.
-
-    The entangling layers are frozen at ``fixed_matrices`` (the tabulated
-    hardware gates), so the variables are the ``6 (L + 1)`` boundary
-    angles.  Equivalent to
-    :meth:`repro.core.templates.TemplateSpec.objective_with_gradient`
-    restricted to the single-qubit block, but evaluated several times
-    faster: the boundary U3s, their derivatives and all the gradient
-    contractions are batched over boundaries into a handful of einsum
-    calls instead of dozens of per-matrix numpy operations.
-    """
-    target = np.asarray(target, dtype=complex)
-    num_layers = len(fixed_matrices)
-    boundaries = num_layers + 1
-    entangling = [np.asarray(matrix, dtype=complex) for matrix in fixed_matrices]
-    count = 2 * boundaries - 1  # boundaries at even positions, gates at odd
-    boundary_slots = 2 * np.arange(boundaries)
-
-    def objective(flat: np.ndarray) -> Tuple[float, np.ndarray]:
-        single = np.asarray(flat, dtype=float).reshape(boundaries, 2, 3)
-        locals_ab = _batched_u3(single)  # (boundaries, qubit, 2, 2)
-        boundary = np.einsum(
-            "nij,nkl->nikjl", locals_ab[:, 0], locals_ab[:, 1]
-        ).reshape(boundaries, 4, 4)
-
-        factors: List[np.ndarray] = []
-        for i in range(boundaries):
-            factors.append(boundary[i])
-            if i < num_layers:
-                factors.append(entangling[i])
-        prefix = np.empty((count + 1, 4, 4), dtype=complex)
-        prefix[0] = np.eye(4)
-        for m, matrix in enumerate(factors):
-            prefix[m + 1] = matrix @ prefix[m]
-        suffix = np.empty((count + 1, 4, 4), dtype=complex)
-        suffix[count] = np.eye(4)
-        for m in range(count - 1, -1, -1):
-            suffix[m] = suffix[m + 1] @ factors[m]
-
-        overlap = np.einsum("ab,ab->", prefix[count].conj(), target)
-        magnitude = abs(overlap)
-        value = 1.0 - magnitude / 4.0
-        if magnitude < 1e-12:
-            return value, np.zeros(flat.size)
-        scale = overlap.conjugate() / magnitude
-
-        # middle[n] = suffix[2n + 1]^dagger target prefix[2n]^dagger,
-        # indexed as [(a c), (b d)] with a/b the first qubit's row/column
-        # and c/d the second's:
-        # Tr((dA (x) B)^dagger M) = sum conj(dA)_ab conj(B)_cd M_acbd.
-        middle = np.einsum(
-            "nba,bc,ndc->nad",
-            suffix[boundary_slots + 1].conj(),
-            target,
-            prefix[boundary_slots].conj(),
-        ).reshape(boundaries, 2, 2, 2, 2)
-        reduced_a = np.einsum("ncd,nacbd->nab", locals_ab[:, 1].conj(), middle)
-        reduced_b = np.einsum("nab,nacbd->ncd", locals_ab[:, 0].conj(), middle)
-        derivatives = _batched_u3_derivatives(single)  # (n, qubit, 3, 2, 2)
-        d_overlap = np.stack(
-            [
-                np.einsum("nkab,nab->nk", derivatives[:, 0].conj(), reduced_a),
-                np.einsum("nkcd,ncd->nk", derivatives[:, 1].conj(), reduced_b),
-            ],
-            axis=1,
-        )  # (boundaries, qubit, 3) matching the parameter layout
-        gradient = (-np.real(scale * d_overlap) / 4.0).reshape(flat.size)
-        return value, gradient
-
-    return objective
-
-
-def _split_solution_parameters(
-    decomposer: NuOpDecomposer,
-    solution: LayerSolution,
-    gate: Optional[Gate],
-    family: Optional[str],
-) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
-    """``(single_block, two_block, entangling_matrices)`` of a tabulated solution."""
-    template = decomposer._make_template(solution.num_layers, gate, family)
-    single, two = template.split_parameters(solution.parameters)
-    return single, two, template.two_qubit_matrices(two)
-
-
 def _polish_solution(
     decomposer: NuOpDecomposer,
     target: np.ndarray,
@@ -408,16 +283,16 @@ def _polish_solution(
     starts) when the tabulated start lands in a poor basin; the layer
     count and any continuous entangling angles stay frozen throughout.
     """
-    if solution.num_layers == 0 and solution.parameters.size == 0:
-        # Layer-zero profile entries carry no parameters (the empty
-        # template); fidelity against this target still differs from the
-        # grid point's, so recompute it.
-        fidelity = float(abs(np.trace(np.asarray(target, dtype=complex).conj().T @ np.eye(4))) / 4.0)
-        return LayerSolution(0, fidelity, solution.parameters)
-    single, two, entangling = _split_solution_parameters(
-        decomposer, solution, gate, family
-    )
-    objective = _polish_objective_factory(target, entangling)
+    template = decomposer._make_template(solution.num_layers, gate, family)
+    single, two = template.split_parameters(solution.parameters)
+
+    def objective(flat_single: np.ndarray) -> Tuple[float, np.ndarray]:
+        # The shared template objective with the entangling angles frozen:
+        # only the single-qubit block of the gradient is optimised.
+        value, gradient = template.objective_with_gradient(
+            np.concatenate([flat_single, two]), target
+        )
+        return value, gradient[: flat_single.size]
 
     def run(start: np.ndarray) -> Tuple[float, np.ndarray]:
         result = minimize(
@@ -446,7 +321,7 @@ def _polish_solution(
                 best_value, best_single = value, params
             if 1.0 - best_value >= solution.fidelity - _ESTIMATE_SLACK:
                 break
-    flat = np.concatenate([best_single, np.asarray(two, dtype=float).ravel()])
+    flat = np.concatenate([best_single, two])
     return LayerSolution(solution.num_layers, 1.0 - best_value, flat)
 
 

@@ -230,9 +230,6 @@ class NuOpDecomposer:
         def objective(flat: np.ndarray):
             return template.objective_with_gradient(flat, target)
 
-        if template.num_parameters == 0:
-            return hilbert_schmidt_fidelity(template.unitary(np.zeros(0)), target), np.zeros(0)
-
         best_value = np.inf
         best_params = template.initial_parameters()
 

@@ -47,6 +47,7 @@ from repro.compiler.manager import (
 )
 from repro.compiler.onequbit import merge_single_qubit_gates
 from repro.compiler.routing import RoutedCircuit
+from repro.core import templates
 from repro.core.decomposer import NuOpDecomposer
 from repro.core.instruction_sets import InstructionSet
 from repro.core.noise_adaptive import decompose_with_instruction_set
@@ -361,19 +362,22 @@ def compile_circuit_reference(
 
 
 def _decomposer_fingerprint(decomposer: NuOpDecomposer) -> str:
-    """Digest of the decomposer configuration (its cache never changes results).
+    """Digest of the decomposer configuration and the NuOp objective revision.
 
+    Feeds the compilation cache, tuner verdicts and the serve daemon's
+    keys.  ``templates.OBJECTIVE_VERSION`` is folded in because a new
+    objective may move optimiser trajectories in the last ulp, so entries
+    compiled under an older objective are orphaned rather than served.
     The Weyl-chamber tabulation state is folded in only when active, as a
-    trailing component: a decomposer with tabulation off hashes exactly
-    as it did before tabulation existed, so pre-existing disk-cache
-    entries stay valid.  (Tabulated results are polished from grid starts
+    trailing component: tabulated results are polished from grid starts
     rather than optimised from scratch, so the two modes must never share
-    compilation-cache entries.)
+    compilation-cache entries.
     """
     tabulation = decomposer.resolved_tabulation()
     extra = () if tabulation is None else tabulation.fingerprint()
     return hash_scalars(
         "decomposer",
+        templates.OBJECTIVE_VERSION,
         decomposer.max_layers,
         decomposer.restarts,
         decomposer.confirmation_restarts,

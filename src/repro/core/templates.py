@@ -14,59 +14,75 @@ are variables as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.gates.parametric import fsim, u3, xy
+from repro.gates.parametric import fsim, xy
+
+OBJECTIVE_VERSION = 2
+"""Revision of :meth:`TemplateSpec.objective_with_gradient`.
+
+Folded into every cache key whose content the objective produces (the
+compilation cache, tuner verdicts and decomposition tables): a new
+objective may move optimiser trajectories in the last ulp, so results
+written under an older objective must never be served.  Bump on any
+change to the objective's arithmetic."""
 
 
-def _single_qubit_layer(params: np.ndarray) -> np.ndarray:
-    """4x4 unitary of one boundary layer: ``U3(params[0]) (x) U3(params[1])``."""
-    return np.kron(u3(*params[0]), u3(*params[1]))
+def _batched_u3(angles: np.ndarray) -> np.ndarray:
+    """U3 matrices for a batch of angle triples.
+
+    ``angles[..., (alpha, beta, lam)]`` maps to matrices of shape
+    ``angles.shape[:-1] + (2, 2)`` in the convention of
+    :func:`repro.gates.parametric.u3`.
+    """
+    alpha = angles[..., 0]
+    c = np.cos(alpha / 2.0)
+    s = np.sin(alpha / 2.0)
+    eb = np.exp(1j * angles[..., 1])
+    el = np.exp(1j * angles[..., 2])
+    matrices = np.empty(angles.shape[:-1] + (2, 2), dtype=complex)
+    matrices[..., 0, 0] = c
+    matrices[..., 0, 1] = -el * s
+    matrices[..., 1, 0] = eb * s
+    matrices[..., 1, 1] = eb * el * c
+    return matrices
 
 
-def _u3_derivatives(alpha: float, beta: float, lam: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Partial derivatives of the U3 matrix with respect to its three angles."""
-    half = alpha / 2.0
-    c = np.cos(half)
-    s = np.sin(half)
-    eb = np.exp(1j * beta)
-    el = np.exp(1j * lam)
-    ebl = np.exp(1j * (beta + lam))
-    d_alpha = 0.5 * np.array(
-        [[-s, -el * c], [eb * c, -ebl * s]], dtype=complex
-    )
-    d_beta = np.array([[0, 0], [1j * eb * s, 1j * ebl * c]], dtype=complex)
-    d_lam = np.array([[0, -1j * el * s], [0, 1j * ebl * c]], dtype=complex)
-    return d_alpha, d_beta, d_lam
+def _batched_u3_derivatives(angles: np.ndarray) -> np.ndarray:
+    """Partial derivatives of :func:`_batched_u3` along each of the three angles.
+
+    Output shape is ``angles.shape[:-1] + (3, 2, 2)``: one 2x2 derivative
+    matrix per angle, per batch element.
+    """
+    alpha = angles[..., 0]
+    c = np.cos(alpha / 2.0)
+    s = np.sin(alpha / 2.0)
+    eb = np.exp(1j * angles[..., 1])
+    el = np.exp(1j * angles[..., 2])
+    ebl = eb * el
+    derivatives = np.zeros(angles.shape[:-1] + (3, 2, 2), dtype=complex)
+    derivatives[..., 0, 0, 0] = -0.5 * s
+    derivatives[..., 0, 0, 1] = -0.5 * el * c
+    derivatives[..., 0, 1, 0] = 0.5 * eb * c
+    derivatives[..., 0, 1, 1] = -0.5 * ebl * s
+    derivatives[..., 1, 1, 0] = 1j * eb * s
+    derivatives[..., 1, 1, 1] = 1j * ebl * c
+    derivatives[..., 2, 0, 1] = -1j * el * s
+    derivatives[..., 2, 1, 1] = 1j * ebl * c
+    return derivatives
 
 
-def _fsim_derivatives(theta: float, phi: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Partial derivatives of the fSim matrix with respect to (theta, phi)."""
-    c = np.cos(theta)
-    s = np.sin(theta)
-    d_theta = np.zeros((4, 4), dtype=complex)
-    d_theta[1, 1] = -s
-    d_theta[1, 2] = -1j * c
-    d_theta[2, 1] = -1j * c
-    d_theta[2, 2] = -s
-    d_phi = np.zeros((4, 4), dtype=complex)
-    d_phi[3, 3] = -1j * np.exp(-1j * phi)
-    return d_theta, d_phi
+def _boundary_layers(single: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-qubit U3s and 4x4 blocks ``U3_a (x) U3_b`` of every boundary layer.
 
-
-def _xy_derivative(theta: float) -> np.ndarray:
-    """Derivative of the XY matrix with respect to theta."""
-    half = theta / 2.0
-    c = np.cos(half)
-    s = np.sin(half)
-    derivative = np.zeros((4, 4), dtype=complex)
-    derivative[1, 1] = -0.5 * s
-    derivative[1, 2] = 0.5j * c
-    derivative[2, 1] = 0.5j * c
-    derivative[2, 2] = -0.5 * s
-    return derivative
+    ``single`` has shape ``(boundaries, 2, 3)``; returns the U3 stack
+    ``(boundaries, 2, 2, 2)`` and the block stack ``(boundaries, 4, 4)``.
+    """
+    locals_ab = _batched_u3(single)
+    blocks = np.einsum("nij,nkl->nikjl", locals_ab[:, 0], locals_ab[:, 1])
+    return locals_ab, blocks.reshape(-1, 4, 4)
 
 
 @dataclass(frozen=True)
@@ -130,36 +146,33 @@ class TemplateSpec:
         two = flat[boundary:]
         return single, two
 
-    def two_qubit_matrices(self, two_qubit_params: np.ndarray) -> List[np.ndarray]:
-        """Entangling-gate matrices for every layer given the (possibly empty) angles."""
+    def _angle_rows(self, two_qubit_params: np.ndarray) -> np.ndarray:
+        """Entangling-gate angles as one row per layer (empty rows when fixed)."""
+        width = self.num_two_qubit_parameters // max(self.num_layers, 1)
+        return np.asarray(two_qubit_params, dtype=float).reshape(self.num_layers, width)
+
+    def two_qubit_matrices(self, two_qubit_params: np.ndarray) -> np.ndarray:
+        """Entangling-gate matrices of every layer, stacked as ``(L, 4, 4)``."""
+        if self.num_layers == 0:
+            return np.zeros((0, 4, 4), dtype=complex)
         if self.two_qubit_family == "fixed":
-            return [self.fixed_gate_matrix] * self.num_layers
-        if self.two_qubit_family == "fsim":
-            pairs = np.asarray(two_qubit_params, dtype=float).reshape(self.num_layers, 2)
-            return [fsim(theta, phi) for theta, phi in pairs]
-        angles = np.asarray(two_qubit_params, dtype=float).reshape(self.num_layers)
-        return [xy(theta) for theta in angles]
+            return np.broadcast_to(self.fixed_gate_matrix, (self.num_layers, 4, 4))
+        gate = fsim if self.two_qubit_family == "fsim" else xy
+        return np.array([gate(*row) for row in self._angle_rows(two_qubit_params)])
 
     def two_qubit_angles(self, two_qubit_params: np.ndarray) -> List[Tuple[float, ...]]:
         """Per-layer entangling-gate angles (empty tuples for fixed templates)."""
-        if self.two_qubit_family == "fixed":
-            return [() for _ in range(self.num_layers)]
-        if self.two_qubit_family == "fsim":
-            pairs = np.asarray(two_qubit_params, dtype=float).reshape(self.num_layers, 2)
-            return [tuple(float(v) for v in pair) for pair in pairs]
-        angles = np.asarray(two_qubit_params, dtype=float).reshape(self.num_layers)
-        return [(float(a),) for a in angles]
+        return [tuple(float(v) for v in row) for row in self._angle_rows(two_qubit_params)]
 
     # -- evaluation -------------------------------------------------------------
 
     def unitary(self, flat_params: np.ndarray) -> np.ndarray:
         """Unitary represented by the template for the given parameters."""
         single, two = self.split_parameters(flat_params)
-        matrices = self.two_qubit_matrices(two)
-        unitary = _single_qubit_layer(single[0])
-        for layer in range(self.num_layers):
-            unitary = matrices[layer] @ unitary
-            unitary = _single_qubit_layer(single[layer + 1]) @ unitary
+        _, boundary = _boundary_layers(single)
+        unitary = boundary[0]
+        for gate, layer in zip(self.two_qubit_matrices(two), boundary[1:]):
+            unitary = layer @ (gate @ unitary)
         return unitary
 
     def initial_parameters(
@@ -172,97 +185,89 @@ class TemplateSpec:
 
     # -- objective with analytic gradient -----------------------------------------
 
-    def _factors_with_derivatives(
-        self, flat_params: np.ndarray
-    ) -> List[Tuple[np.ndarray, List[Tuple[int, np.ndarray]]]]:
-        """Factor matrices in application order with per-parameter derivatives.
-
-        Each entry is ``(factor_matrix, [(parameter_index, d factor / d parameter), ...])``.
-        """
-        single, two = self.split_parameters(flat_params)
-        boundary_offset = 0
-        two_offset = self.num_single_qubit_parameters
-        entangling = self.two_qubit_matrices(two)
-        factors: List[Tuple[np.ndarray, List[Tuple[int, np.ndarray]]]] = []
-
-        def boundary_factor(layer_index: int) -> Tuple[np.ndarray, List[Tuple[int, np.ndarray]]]:
-            params_a = single[layer_index, 0]
-            params_b = single[layer_index, 1]
-            u3_a = u3(*params_a)
-            u3_b = u3(*params_b)
-            matrix = np.kron(u3_a, u3_b)
-            derivatives: List[Tuple[int, np.ndarray]] = []
-            base = boundary_offset + 6 * layer_index
-            for angle_index, d_matrix in enumerate(_u3_derivatives(*params_a)):
-                derivatives.append((base + angle_index, np.kron(d_matrix, u3_b)))
-            for angle_index, d_matrix in enumerate(_u3_derivatives(*params_b)):
-                derivatives.append((base + 3 + angle_index, np.kron(u3_a, d_matrix)))
-            return matrix, derivatives
-
-        factors.append(boundary_factor(0))
-        for layer in range(self.num_layers):
-            matrix = entangling[layer]
-            derivatives = []
-            if self.two_qubit_family == "fsim":
-                theta, phi = np.asarray(two, dtype=float).reshape(self.num_layers, 2)[layer]
-                d_theta, d_phi = _fsim_derivatives(theta, phi)
-                derivatives = [
-                    (two_offset + 2 * layer, d_theta),
-                    (two_offset + 2 * layer + 1, d_phi),
-                ]
-            elif self.two_qubit_family == "xy":
-                theta = float(np.asarray(two, dtype=float).reshape(self.num_layers)[layer])
-                derivatives = [(two_offset + layer, _xy_derivative(theta))]
-            factors.append((matrix, derivatives))
-            factors.append(boundary_factor(layer + 1))
-        return factors
-
     def objective_with_gradient(
         self, flat_params: np.ndarray, target: np.ndarray
     ) -> Tuple[float, np.ndarray]:
         """Value and gradient of ``1 - |Tr(U(params)^dagger target)| / 4``.
 
-        The gradient is analytic: prefix/suffix products of the template
-        factors turn every partial derivative into a single 4x4 trace,
-        which makes BFGS roughly an order of magnitude faster than with
-        finite differences.
+        One batched pass serves every parameter.  With the template
+        written ``U = after[n] K_n before[n]`` around boundary ``n``, the
+        derivative of the overlap along a factor derivative ``dK_n`` is
+        ``Tr(dK_n^dagger middle[n])`` with
+        ``middle[n] = after[n]^dagger target before[n]^dagger``.  All
+        ``middle`` matrices come from one batched product; contracting
+        each with the other qubit's U3 leaves a 2x2 reduced matrix per
+        qubit, against which the three U3 derivatives are traced.  The
+        entangling-angle derivatives use the gate-slot matrices
+        ``K_n^dagger middle[n] G_n`` and only the few nonzero entries of
+        ``dG``, so no 4x4 derivative is ever built.
         """
+        single, two = self.split_parameters(flat_params)
         target = np.asarray(target, dtype=complex)
-        factors = self._factors_with_derivatives(np.asarray(flat_params, dtype=float))
-        matrices = [matrix for matrix, _ in factors]
-        count = len(matrices)
+        num_layers = self.num_layers
+        boundaries = num_layers + 1
+        locals_ab, boundary = _boundary_layers(single)
+        gates = self.two_qubit_matrices(two)
 
-        # prefix[m] = F_{m-1} ... F_0 (identity for m = 0)
-        prefix = [np.eye(4, dtype=complex)]
-        for matrix in matrices:
-            prefix.append(matrix @ prefix[-1])
-        # suffix[m] = F_{count-1} ... F_m (identity for m = count)
-        suffix = [np.eye(4, dtype=complex)] * (count + 1)
-        running = np.eye(4, dtype=complex)
-        for m in range(count - 1, -1, -1):
-            running = running @ matrices[m]
-            suffix[m] = running
+        # before[n] = G_n K_{n-1} ... K_0 and after[n] = K_L G_L ... G_{n+1}.
+        before = np.empty((boundaries, 4, 4), dtype=complex)
+        after = np.empty((boundaries, 4, 4), dtype=complex)
+        before[0] = after[num_layers] = np.eye(4)
+        if num_layers:
+            steps_up = gates @ boundary[:-1]
+            steps_down = boundary[1:] @ gates
+            for n in range(num_layers):
+                before[n + 1] = steps_up[n] @ before[n]
+            for n in range(num_layers - 1, -1, -1):
+                after[n] = after[n + 1] @ steps_down[n]
 
-        unitary = prefix[count]
-        overlap = np.trace(unitary.conj().T @ target)
+        overlap = np.vdot(boundary[num_layers] @ before[num_layers], target)
         magnitude = abs(overlap)
         value = 1.0 - magnitude / 4.0
-
-        gradient = np.zeros(len(flat_params))
         if magnitude < 1e-12:
-            return value, gradient
-        scale = overlap.conjugate() / magnitude
-        for m, (_, derivatives) in enumerate(factors):
-            if not derivatives:
-                continue
-            left = suffix[m + 1]
-            right = prefix[m]
-            # M = left^dagger @ target @ right^dagger, so that
-            # Tr((left dF right)^dagger target) = Tr(dF^dagger M).
-            middle = left.conj().T @ target @ right.conj().T
-            for parameter_index, d_factor in derivatives:
-                d_overlap = np.trace(d_factor.conj().T @ middle)
-                gradient[parameter_index] = -np.real(scale * d_overlap) / 4.0
+            return value, np.zeros(self.num_parameters)
+
+        middle = (
+            after.conj().transpose(0, 2, 1) @ target @ before.conj().transpose(0, 2, 1)
+        )
+        # Indexed [(a c), (b d)] with a/b the first qubit's row/column and
+        # c/d the second's:
+        # Tr((dA (x) B)^dagger M) = sum conj(dA)_ab conj(B)_cd M_acbd.
+        blocks = middle.reshape(boundaries, 2, 2, 2, 2)
+        conj_locals = locals_ab.conj()
+        reduced = np.stack(
+            [
+                np.einsum("ncd,nacbd->nab", conj_locals[:, 1], blocks),
+                np.einsum("nab,nacbd->ncd", conj_locals[:, 0], blocks),
+            ],
+            axis=1,
+        )
+        d_overlap = np.empty(self.num_parameters, dtype=complex)
+        d_overlap[: 6 * boundaries] = np.einsum(
+            "nqkab,nqab->nqk", _batched_u3_derivatives(single).conj(), reduced
+        ).ravel()
+
+        if self.num_two_qubit_parameters:
+            # slot[n - 1] = K_n^dagger middle[n] G_n
+            #             = (after[n] K_n)^dagger target (K_{n-1} before[n-1])^dagger
+            # (G_n is unitary), so d overlap / d angle = Tr(dG_n^dagger slot[n - 1]).
+            slot = boundary[1:].conj().transpose(0, 2, 1) @ middle[1:] @ gates
+            diagonal = slot[:, 1, 1] + slot[:, 2, 2]
+            off_diagonal = slot[:, 1, 2] + slot[:, 2, 1]
+            angles = self._angle_rows(two)
+            if self.two_qubit_family == "fsim":
+                d_two = np.empty((num_layers, 2), dtype=complex)
+                d_two[:, 0] = (
+                    -np.sin(angles[:, 0]) * diagonal
+                    + 1j * np.cos(angles[:, 0]) * off_diagonal
+                )
+                d_two[:, 1] = 1j * np.exp(1j * angles[:, 1]) * slot[:, 3, 3]
+            else:
+                half = angles[:, 0] / 2
+                d_two = -0.5 * (np.sin(half) * diagonal + 1j * np.cos(half) * off_diagonal)
+            d_overlap[6 * boundaries:] = d_two.ravel()
+
+        gradient = -np.real(overlap.conjugate() / magnitude * d_overlap) / 4.0
         return value, gradient
 
 

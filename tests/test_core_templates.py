@@ -3,13 +3,40 @@
 import numpy as np
 import pytest
 
+from repro.circuits.gate import named_gate
+from repro.compiler.tabulation import TabulationConfig, table_spec
+from repro.core import templates
+from repro.core.decomposer import NuOpDecomposer
+from repro.core.pipeline import _decomposer_fingerprint
 from repro.core.templates import (
     TemplateSpec,
+    _batched_u3,
+    _batched_u3_derivatives,
     continuous_family_template,
     fixed_gate_template,
 )
-from repro.gates.standard import CZ
+from repro.gates.parametric import u3
+from repro.gates.standard import CZ, SYC
 from repro.gates.unitary import hilbert_schmidt_fidelity, is_unitary, random_su4
+
+
+class TestBatchedU3:
+    def test_matches_scalar_u3(self, rng):
+        angles = rng.uniform(-np.pi, np.pi, size=(6, 3))
+        batched = _batched_u3(angles)
+        for k in range(angles.shape[0]):
+            assert np.allclose(batched[k], u3(*angles[k]), atol=1e-12)
+
+    def test_derivatives_match_finite_differences(self, rng):
+        angles = rng.uniform(-np.pi, np.pi, size=(2, 3))
+        derivatives = _batched_u3_derivatives(angles)
+        eps = 1e-7
+        for k in range(2):
+            for axis in range(3):
+                bumped = angles.copy()
+                bumped[k, axis] += eps
+                numeric = (_batched_u3(bumped)[k] - _batched_u3(angles)[k]) / eps
+                assert np.allclose(derivatives[k, axis], numeric, atol=1e-6)
 
 
 class TestTemplateStructure:
@@ -73,29 +100,37 @@ class TestGradients:
     @pytest.mark.parametrize(
         "template_factory",
         [
-            lambda: fixed_gate_template(2, CZ),
-            lambda: continuous_family_template(2, "fsim"),
-            lambda: continuous_family_template(2, "xy"),
+            lambda layers: fixed_gate_template(layers, CZ),
+            lambda layers: continuous_family_template(layers, "fsim"),
+            lambda layers: continuous_family_template(layers, "xy"),
+            lambda layers: fixed_gate_template(layers, SYC),
         ],
     )
     def test_analytic_gradient_matches_finite_differences(self, template_factory, rng):
-        template = template_factory()
-        target = random_su4(rng)
-        params = rng.uniform(-np.pi, np.pi, template.num_parameters)
-        value, gradient = template.objective_with_gradient(params, target)
-        assert value == pytest.approx(
-            1.0 - hilbert_schmidt_fidelity(template.unitary(params), target), abs=1e-10
-        )
+        # Every parameter index -- all U3 angles and, for the continuous
+        # families, every fSim (theta, phi) / XY theta -- at L = 0..4.
         epsilon = 1e-6
-        for index in range(0, template.num_parameters, 5):
-            shifted_up = params.copy()
-            shifted_up[index] += epsilon
-            shifted_down = params.copy()
-            shifted_down[index] -= epsilon
-            up, _ = template.objective_with_gradient(shifted_up, target)
-            down, _ = template.objective_with_gradient(shifted_down, target)
-            numeric = (up - down) / (2 * epsilon)
-            assert gradient[index] == pytest.approx(numeric, abs=1e-5)
+        for num_layers in range(5):
+            template = template_factory(num_layers)
+            target = random_su4(rng)
+            params = rng.uniform(-np.pi, np.pi, template.num_parameters)
+            value, gradient = template.objective_with_gradient(params, target)
+            assert value == pytest.approx(
+                1.0 - hilbert_schmidt_fidelity(template.unitary(params), target), abs=1e-12
+            )
+            assert gradient.shape == (template.num_parameters,)
+            for index in range(template.num_parameters):
+                shifted_up = params.copy()
+                shifted_up[index] += epsilon
+                shifted_down = params.copy()
+                shifted_down[index] -= epsilon
+                up, _ = template.objective_with_gradient(shifted_up, target)
+                down, _ = template.objective_with_gradient(shifted_down, target)
+                numeric = (up - down) / (2 * epsilon)
+                assert gradient[index] == pytest.approx(numeric, abs=1e-7), (
+                    num_layers,
+                    index,
+                )
 
     def test_gradient_is_zero_at_exact_solution(self):
         # Template CZ with zero single-qubit angles realises CZ CZ = identity;
@@ -106,3 +141,26 @@ class TestGradients:
         )
         assert value == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(gradient, 0.0, atol=1e-9)
+
+    def test_vanishing_overlap_returns_zero_gradient(self):
+        # |Tr(U^dagger target)| = 0: the modulus is not differentiable, so
+        # the objective reports the flat zero gradient.
+        template = continuous_family_template(1, "fsim")
+        pauli_x = np.array([[0, 1], [1, 0]], dtype=complex)
+        target = np.kron(pauli_x, np.eye(2))
+        value, gradient = template.objective_with_gradient(
+            np.zeros(template.num_parameters), target
+        )
+        assert value == 1.0
+        assert gradient.shape == (template.num_parameters,)
+        assert not gradient.any()
+
+
+class TestObjectiveVersion:
+    def test_version_orphans_compile_and_table_keys(self, monkeypatch):
+        decomposer = NuOpDecomposer()
+        spec = table_spec(decomposer, named_gate("cz"), None, TabulationConfig(resolution=3))
+        fingerprint, cache_key = _decomposer_fingerprint(decomposer), spec.cache_key()
+        monkeypatch.setattr(templates, "OBJECTIVE_VERSION", templates.OBJECTIVE_VERSION + 1)
+        assert _decomposer_fingerprint(decomposer) != fingerprint
+        assert spec.cache_key() != cache_key

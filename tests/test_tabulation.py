@@ -25,8 +25,6 @@ from repro.compiler.tabulation import (
     TABULATION_ENV_VAR,
     DecompositionTable,
     TabulationConfig,
-    _batched_u3,
-    _batched_u3_derivatives,
     build_table,
     chamber_grid,
     clear_table_cache,
@@ -41,7 +39,7 @@ from repro.core.decomposer import (
     clear_profile_cache,
     profile_cache_stats,
 )
-from repro.gates.parametric import canonical_gate, u3
+from repro.gates.parametric import canonical_gate
 from repro.gates.unitary import random_su4
 
 QUARTER = np.pi / 4
@@ -184,25 +182,6 @@ class TestTableStructure:
         assert clone._invariants is None  # derived data is not persisted
         found = clone.nearest(canonical_gate(*table.entries[-1].coords))
         assert np.allclose(found.coords, table.entries[-1].coords)
-
-
-class TestBatchedU3:
-    def test_matches_scalar_u3(self, rng):
-        angles = rng.uniform(-np.pi, np.pi, size=(6, 3))
-        batched = _batched_u3(angles)
-        for k in range(angles.shape[0]):
-            assert np.allclose(batched[k], u3(*angles[k]), atol=1e-12)
-
-    def test_derivatives_match_finite_differences(self, rng):
-        angles = rng.uniform(-np.pi, np.pi, size=(2, 3))
-        derivatives = _batched_u3_derivatives(angles)
-        eps = 1e-7
-        for k in range(2):
-            for axis in range(3):
-                bumped = angles.copy()
-                bumped[k, axis] += eps
-                numeric = (_batched_u3(bumped)[k] - _batched_u3(angles)[k]) / eps
-                assert np.allclose(derivatives[k, axis], numeric, atol=1e-6)
 
 
 class TestTabulatedQueries:
