@@ -39,12 +39,20 @@ even when one copy went through a float32 round-trip or a ``0.0`` vs
 ``-0.0`` normalisation."""
 
 
-def _update_with_array(digest: "hashlib._Hash", array: np.ndarray) -> None:
-    """Feed a numpy array into a digest in a dtype/shape-stable way."""
+def array_digest_bytes(array: np.ndarray) -> bytes:
+    """The exact bytes :func:`update_digest_array` feeds a digest for ``array``.
+
+    Callers that hash one array many times (a noise program's shared Kraus
+    operators) compute these once and feed them with ``digest.update``.
+    """
     canonical = np.ascontiguousarray(np.round(np.asarray(array, dtype=complex), _FLOAT_DECIMALS))
     canonical = canonical + 0.0  # collapse -0.0 to +0.0 in both components
-    digest.update(str(canonical.shape).encode())
-    digest.update(canonical.tobytes())
+    return str(canonical.shape).encode() + canonical.tobytes()
+
+
+def _update_with_array(digest: "hashlib._Hash", array: np.ndarray) -> None:
+    """Feed a numpy array into a digest in a dtype/shape-stable way."""
+    digest.update(array_digest_bytes(array))
 
 
 def _update_with_scalars(digest: "hashlib._Hash", values: Iterable[object]) -> None:

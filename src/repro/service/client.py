@@ -36,6 +36,11 @@ from repro.service.protocol import (
 
 CLIENT_TIMEOUT_ENV_VAR = "REPRO_CLIENT_TIMEOUT"
 
+_TRUNCATED_STREAM = (
+    "stream ended before the terminal stats record -- the daemon "
+    "disconnected mid-study (crashed, killed, or dropped connection)"
+)
+
 
 class ServiceError(RuntimeError):
     """The daemon rejected a request or reported an in-stream error."""
@@ -60,8 +65,10 @@ def submit_study(
     earlier records were already yielded, mirroring what actually
     happened server-side.  ``timeout=None`` (the default) uses
     ``REPRO_CLIENT_TIMEOUT``; a stream that times out or ends before
-    the terminal ``stats`` record raises :class:`ServiceError` rather
-    than hanging or truncating silently.
+    the terminal ``stats`` record -- by a clean EOF or an abortive reset
+    -- raises :class:`ServiceError` rather than hanging, truncating
+    silently or leaking a raw socket error; so does a connection the
+    daemon drops before sending a response.
     """
     if isinstance(spec, dict):
         spec = StudySpec.from_json_dict(spec)
@@ -69,6 +76,7 @@ def submit_study(
         timeout = client_timeout()
     connection = http.client.HTTPConnection(host, port, timeout=timeout)
     terminated = False
+    responded = False
     try:
         connection.request(
             "POST",
@@ -77,6 +85,7 @@ def submit_study(
             headers={"Content-Type": "application/json"},
         )
         response = connection.getresponse()
+        responded = True
         if response.status != 200:
             detail = response.read().decode("utf-8", "replace")
             try:
@@ -98,13 +107,18 @@ def submit_study(
             f"daemon did not respond within {timeout:g}s "
             f"({CLIENT_TIMEOUT_ENV_VAR} or the timeout argument raises it): {error}"
         ) from error
+    except (ConnectionResetError, BrokenPipeError, http.client.IncompleteRead) as error:
+        # An abortive close (RST) instead of a clean EOF; this also covers
+        # http.client.RemoteDisconnected, a ConnectionResetError subclass.
+        if not responded:
+            raise ServiceError(
+                f"daemon dropped the connection before responding ({error!r})"
+            ) from error
+        raise ServiceError(f"{_TRUNCATED_STREAM} ({error!r})") from error
     finally:
         connection.close()
     if not terminated:
-        raise ServiceError(
-            "stream ended before the terminal stats record -- the daemon "
-            "disconnected mid-study (crashed, killed, or dropped connection)"
-        )
+        raise ServiceError(_TRUNCATED_STREAM)
 
 
 def fetch_stats(

@@ -5,10 +5,21 @@ depolarizing noise parameterised by calibrated gate error rates, plus
 amplitude damping and dephasing derived from T1/T2 times and gate
 durations.  Readout error is modelled as a classical bit-flip confusion
 matrix applied at sampling time (:mod:`repro.simulators.sampling`).
+
+:func:`depolarizing_channel` is memoised on its exact inputs (as is the
+noise model's relaxation channel,
+:func:`repro.simulators.noise_model.relaxation_channel`): a study lowers
+hundreds of gates against a handful of distinct calibrated error rates
+and gate durations, so each distinct channel is built and validated once
+and then shared.  Sharing is safe because a :class:`KrausChannel` is
+frozen and its operators are read-only.
+:func:`repro.simulators.noise_program.clear_noise_program_cache` empties
+the memos.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -21,6 +32,11 @@ _PAULIS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+CHANNEL_MEMO_SIZE = 1024
+"""LRU bound of each channel-constructor memo.  A study sees one distinct
+depolarizing channel per calibrated (gate type, edge) error rate and one
+relaxation channel per (duration, T1, T2); a few dozen in practice."""
 
 
 @dataclass(frozen=True)
@@ -82,23 +98,33 @@ def depolarizing_probability_from_error_rate(error_rate: float, num_qubits: int)
     return float(min(max(probability, 0.0), 1.0))
 
 
+@functools.lru_cache(maxsize=4)
+def _pauli_basis(num_qubits: int) -> Tuple[np.ndarray, ...]:
+    """All ``4^n`` Pauli strings on ``num_qubits`` qubits, identity first."""
+    labels = ("".join(chars) for chars in itertools.product("IXYZ", repeat=num_qubits))
+    basis = tuple(pauli_string_matrix(label) for label in labels)
+    for matrix in basis:
+        matrix.setflags(write=False)
+    return basis
+
+
+@functools.lru_cache(maxsize=CHANNEL_MEMO_SIZE)
 def depolarizing_channel(probability: float, num_qubits: int = 1) -> KrausChannel:
     """Uniform depolarizing channel on ``num_qubits`` qubits.
 
     With probability ``probability`` the state is replaced by the maximally
     mixed state; equivalently each non-identity Pauli is applied with
-    probability ``probability / 4^n``.
+    probability ``probability / 4^n``.  Memoised: equal inputs return the
+    same (immutable) channel object.
     """
     if not 0.0 <= probability <= 1.0:
         raise ValueError("depolarizing probability must be in [0, 1]")
-    dim = 4**num_qubits
-    labels = ["".join(chars) for chars in itertools.product("IXYZ", repeat=num_qubits)]
-    operators: List[np.ndarray] = []
+    basis = _pauli_basis(num_qubits)
+    dim = len(basis)
     identity_weight = np.sqrt(1.0 - probability + probability / dim)
-    operators.append(identity_weight * pauli_string_matrix(labels[0]))
     pauli_weight = np.sqrt(probability / dim)
-    for label in labels[1:]:
-        operators.append(pauli_weight * pauli_string_matrix(label))
+    operators: List[np.ndarray] = [identity_weight * basis[0]]
+    operators.extend(pauli_weight * pauli for pauli in basis[1:])
     return KrausChannel(f"depolarizing({probability:.4g}, {num_qubits}q)", tuple(operators))
 
 

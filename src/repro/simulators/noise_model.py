@@ -7,15 +7,22 @@ by the density-matrix and trajectory simulators.  The construction follows
 the paper's simulation setup (Section VI): depolarizing errors scaled by
 the calibrated gate error rates plus amplitude damping / dephasing from
 T1, T2 and gate durations.
+
+Channels come from memoised constructors (the depolarizing constructor
+of :mod:`repro.simulators.noise` and :func:`relaxation_channel` below),
+so every gate with the same calibrated error rate (or the same duration
+and T1/T2) shares one channel object.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import Operation
 from repro.simulators.noise import (
+    CHANNEL_MEMO_SIZE,
     KrausChannel,
     depolarizing_channel,
     depolarizing_probability_from_error_rate,
@@ -23,6 +30,20 @@ from repro.simulators.noise import (
 )
 
 Edge = Tuple[int, int]
+
+
+@functools.lru_cache(maxsize=CHANNEL_MEMO_SIZE)
+def relaxation_channel(duration: float, t1: float, t2: float) -> Optional[KrausChannel]:
+    """The thermal-relaxation channel of ``duration``, or ``None`` if it is
+    the identity (memoised, so the channel is built and checked once per
+    distinct input)."""
+    channel = thermal_relaxation_channel(duration, t1, t2)
+    return None if channel.is_identity() else channel
+
+
+CHANNEL_MEMOS = (depolarizing_channel, relaxation_channel)
+"""Every memoised channel constructor; emptied together with the
+noise-program cache (:func:`repro.simulators.noise_program.clear_noise_program_cache`)."""
 
 
 def _canonical_edge(pair: Sequence[int]) -> Edge:
@@ -185,10 +206,10 @@ class NoiseModel:
         if self.include_thermal_relaxation:
             duration = self.operation_duration(operation)
             for circuit_qubit, physical_qubit in zip(operation.qubits, physical):
-                channel = thermal_relaxation_channel(
+                channel = relaxation_channel(
                     duration, self.qubit_t1(physical_qubit), self.qubit_t2(physical_qubit)
                 )
-                if not channel.is_identity():
+                if channel is not None:
                     channels.append((channel, (circuit_qubit,)))
         return channels
 
@@ -200,10 +221,10 @@ class NoiseModel:
             return None
         if duration <= 0:
             return None
-        channel = thermal_relaxation_channel(
+        channel = relaxation_channel(
             duration, self.qubit_t1(physical_qubit), self.qubit_t2(physical_qubit)
         )
-        if channel.is_identity():
+        if channel is None:
             return None
         return channel, (circuit_qubit,)
 

@@ -2,11 +2,10 @@
 
 Every noisy simulator in :mod:`repro.simulators` used to walk the same
 path on every run: group the circuit into ASAP moments, look up each
-operation's duration, build the depolarizing + thermal-relaxation Kraus
-channels from the :class:`~repro.simulators.noise_model.NoiseModel`, and
-construct idle channels for the qubits a moment leaves untouched.  The
-channel *construction* (matrix products, channel composition, operator
-pruning) is pure bookkeeping that depends only on the circuit and the
+operation's duration, attach the depolarizing + thermal-relaxation Kraus
+channels of the :class:`~repro.simulators.noise_model.NoiseModel`, and
+add idle channels for the qubits a moment leaves untouched.  That
+lowering is pure bookkeeping that depends only on the circuit and the
 calibration data -- yet the density-matrix simulator redid it per run and
 the trajectory simulator per batch.
 
@@ -17,6 +16,17 @@ program in order, which makes them bit-identical to the legacy inline
 loops by construction -- the program records exactly the operations those
 loops would have derived, in exactly the order they would have applied
 them.
+
+The channels come from memoised constructors
+(:data:`repro.simulators.noise_model.CHANNEL_MEMOS`), so every gate with the same calibrated
+error rate, or the same duration and T1/T2, references one shared,
+immutable channel object: a program holds a few distinct channels many
+times over.  Consumers exploit that sharing.
+:meth:`NoiseProgram.fingerprint` renders each distinct channel's bytes
+once per call, and the superoperator lowering
+(:func:`repro.simulators.superop.lower_noise_program`) derives each
+channel's superoperator once per call.  :func:`clear_noise_program_cache`
+empties the channel memos together with the program cache.
 
 Programs are immutable once built: replays never mutate them, so one
 program is safely shared across backends, worker pools (they pickle by
@@ -46,12 +56,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import as_moments
 from repro.circuits.hashing import (
+    array_digest_bytes,
     circuit_fingerprint,
     update_digest_array,
     update_digest_scalars,
 )
 from repro.simulators.noise import KrausChannel
-from repro.simulators.noise_model import NoiseModel
+from repro.simulators.noise_model import CHANNEL_MEMOS, NoiseModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotations only
     from repro.core.pipeline import CompiledCircuit
@@ -119,6 +130,20 @@ class NoiseProgram:
         are the authoritative content.
         """
         if self._fingerprint is None:
+            # Channels are shared objects (memoised constructors), so each
+            # one's operator bytes are derived once per call, keyed by id:
+            # the program keeps every channel alive for the whole call.
+            payloads: Dict[int, bytes] = {}
+
+            def update_channel(channel: KrausChannel) -> None:
+                payload = payloads.get(id(channel))
+                if payload is None:
+                    payload = b"".join(
+                        array_digest_bytes(operator) for operator in channel.operators
+                    )
+                    payloads[id(channel)] = payload
+                digest.update(payload)
+
             digest = hashlib.sha256()
             update_digest_scalars(
                 digest, "noise-program", self.num_qubits, len(self.moments)
@@ -136,12 +161,10 @@ class NoiseProgram:
                     update_digest_array(digest, operation.matrix)
                     for channel, qubits in operation.channels:
                         update_digest_scalars(digest, "chan", *qubits)
-                        for operator in channel.operators:
-                            update_digest_array(digest, operator)
+                        update_channel(channel)
                 for channel, qubits in moment.idle_channels:
                     update_digest_scalars(digest, "idle", *qubits)
-                    for operator in channel.operators:
-                        update_digest_array(digest, operator)
+                    update_channel(channel)
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 
@@ -312,7 +335,8 @@ def noise_program_cache_stats() -> Dict[str, int]:
 
 
 def clear_noise_program_cache() -> None:
-    """Drop every cached program and reset the counters (tests/benchmarks).
+    """Drop every cached program and memoised channel, and reset the
+    counters (tests/benchmarks), so the next build is genuinely cold.
 
     The LRU bound needs no reset: ``REPRO_PROGRAM_CACHE_SIZE`` is
     re-read on every consultation, so environment changes take effect
@@ -322,3 +346,5 @@ def clear_noise_program_cache() -> None:
         _PROGRAM_CACHE.clear()
         _PROGRAM_CACHE_STATS["hits"] = 0
         _PROGRAM_CACHE_STATS["misses"] = 0
+    for memo in CHANNEL_MEMOS:
+        memo.cache_clear()

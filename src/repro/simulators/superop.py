@@ -260,6 +260,30 @@ def lower_noise_program(program: NoiseProgram) -> SuperopProgram:
     pending: List[_PendingGroup] = []
     last_touch: Dict[int, int] = {}
     source_applications = 0
+    # Channels are shared objects (memoised constructors), so each one's
+    # (embedded) superoperator is derived once per call, keyed by id: the
+    # program keeps every channel alive for the whole call.  The cached
+    # arrays are read-only because fused groups may share them.
+    superops: Dict[Tuple[int, Tuple[int, ...], int], np.ndarray] = {}
+
+    def superop_of(
+        channel: KrausChannel,
+        positions: Optional[Tuple[int, ...]] = None,
+        k: Optional[int] = None,
+    ) -> np.ndarray:
+        """``channel`` embedded at ``positions`` of a ``k``-qubit support
+        (default: on its own qubits)."""
+        if positions is None:
+            k = channel.num_qubits
+            positions = tuple(range(k))
+        key = (id(channel), positions, k)
+        superop = superops.get(key)
+        if superop is None:
+            embedded = [_embed_matrix(op, positions, k) for op in channel.operators]
+            superop = kraus_to_superoperator(embedded)
+            superop.setflags(write=False)
+            superops[key] = superop
+        return superop
 
     def emit(qubits: Tuple[int, ...], matrix: np.ndarray) -> None:
         indices = {last_touch.get(q) for q in qubits}
@@ -284,23 +308,20 @@ def lower_noise_program(program: NoiseProgram) -> SuperopProgram:
             for channel, channel_qubits in operation.channels:
                 source_applications += 2 * len(channel.operators)
                 if set(channel_qubits) <= support:
-                    positions = [qubits.index(q) for q in channel_qubits]
-                    embedded = [
-                        _embed_matrix(op, positions, k) for op in channel.operators
-                    ]
-                    matrix = kraus_to_superoperator(embedded) @ matrix
+                    positions = tuple(qubits.index(q) for q in channel_qubits)
+                    matrix = superop_of(channel, positions, k) @ matrix
                     accumulated = True
                 else:
                     if accumulated:
                         emit(qubits, matrix)
                         matrix = np.eye(4**k, dtype=complex)
                         accumulated = False
-                    emit(tuple(channel_qubits), channel_superoperator(channel))
+                    emit(tuple(channel_qubits), superop_of(channel))
             if accumulated:
                 emit(qubits, matrix)
         for channel, channel_qubits in moment.idle_channels:
             source_applications += 2 * len(channel.operators)
-            emit(tuple(channel_qubits), channel_superoperator(channel))
+            emit(tuple(channel_qubits), superop_of(channel))
 
     groups = tuple(_finalise_group(p, n) for p in pending)
     return SuperopProgram(

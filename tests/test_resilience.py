@@ -23,6 +23,7 @@ from __future__ import annotations
 import errno
 import pickle
 import socket
+import struct
 import threading
 import time
 from concurrent.futures import BrokenExecutor
@@ -639,6 +640,53 @@ class TestClientResilience:
         thread.join(timeout=5)
         # Records streamed before the disconnect were still delivered.
         assert [r["type"] for r in records] == ["job"]
+
+    def test_mid_stream_reset_raises_instead_of_escaping_raw(self):
+        """An abortive close (RST) mid-stream maps to the same ServiceError
+        as a clean EOF, never a raw ConnectionResetError."""
+        request_read = threading.Event()
+
+        def handler(conn):
+            conn.settimeout(5)
+            received = b""
+            while b'"shots"' not in received:  # the whole JSON body
+                received += conn.recv(65536)
+            request_read.set()
+            conn.sendall(
+                b"HTTP/1.0 200 OK\r\n"
+                b"Content-Type: application/x-ndjson\r\n\r\n"
+                b'{"type": "job", "index": 0, "source": "backend", "value": 0.5}\n'
+            )
+            # SO_LINGER on with a zero timeout: close() sends RST, not FIN.
+            conn.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+
+        port, thread = _fake_daemon(handler)
+        records = []
+        with pytest.raises(ServiceError, match="terminal stats record") as raised:
+            for record in submit_study(_tiny_spec_dict(), port=port, timeout=5):
+                records.append(record)
+        thread.join(timeout=5)
+        assert not thread.is_alive() and request_read.is_set()
+        assert isinstance(raised.value.__cause__, ConnectionResetError)
+        # The record queued before the reset was still delivered.
+        assert [r["type"] for r in records] == ["job"]
+
+    def test_disconnect_before_response_is_not_reported_as_truncation(self):
+        """A daemon that closes without answering never started a stream."""
+
+        def handler(conn):
+            conn.settimeout(5)
+            received = b""
+            while b'"shots"' not in received:  # the whole JSON body
+                received += conn.recv(65536)
+
+        port, thread = _fake_daemon(handler)
+        with pytest.raises(ServiceError, match="before responding") as raised:
+            list(submit_study(_tiny_spec_dict(), port=port, timeout=5))
+        thread.join(timeout=5)
+        assert isinstance(raised.value.__cause__, ConnectionResetError)
 
     def test_stalled_daemon_times_out_naming_the_knob(self):
         def handler(conn):

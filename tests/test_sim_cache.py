@@ -11,10 +11,15 @@ Contracts under test:
 * corrupt persisted vectors degrade to misses, never errors;
 * determinism holds now that worker pools receive immutable noise
   programs instead of per-job ``Device`` deep copies (the regression
-  guard for removing the deepcopy).
+  guard for removing the deepcopy); a program whose gates share memoised
+  channel objects survives a process-pool round trip with the same
+  fingerprint, lowering and replay.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -32,8 +37,12 @@ from repro.experiments.runner import SimulationOptions
 from repro.metrics.hop import heavy_output_probability
 from repro.simulators.backend import (
     backend_invocation_counts,
+    resolve_backend,
     reset_backend_invocation_counts,
 )
+from repro.simulators.noise_model import NoiseModel
+from repro.simulators.noise_program import NoiseProgram, build_noise_program
+from repro.simulators.superop import superop_program_for
 
 
 def _study_kwargs(shared_decomposer, **overrides):
@@ -186,6 +195,35 @@ class TestNoDeviceCopyDeterminism:
         clear_experiment_caches()
         parallel = run_study(**kwargs, workers=2)
         assert _rows(parallel) == _rows(serial)
+
+    def test_program_with_shared_channels_replays_identically_in_a_worker(self):
+        circuit = qv_circuit(3, rng=np.random.default_rng(3))
+        model = NoiseModel.uniform(3, two_qubit_error=0.01)
+        local = build_noise_program(circuit, model)
+        shipped = build_noise_program(circuit, model)  # never fingerprinted/lowered
+        channels = [
+            channel
+            for moment in shipped.moments
+            for operation in moment.operations
+            for channel, _ in operation.channels
+        ]
+        assert len({id(channel) for channel in channels}) < len(channels)
+        backend = resolve_backend("density-matrix")
+        options = SimulationOptions(seed=5)
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            fingerprint = pool.submit(NoiseProgram.fingerprint, shipped)
+            lowered = pool.submit(superop_program_for, shipped)
+            replayed = pool.submit(backend.run, shipped, options)
+            fingerprint, lowered, replayed = (
+                future.result(timeout=120) for future in (fingerprint, lowered, replayed)
+            )
+        assert fingerprint == local.fingerprint()
+        groups = superop_program_for(local).groups
+        assert [g.qubits for g in lowered.groups] == [g.qubits for g in groups]
+        for remote, expected in zip(lowered.groups, groups):
+            assert remote.superoperator.tobytes() == expected.superoperator.tobytes()
+        assert np.array_equal(replayed, backend.run(local, options))
 
     def test_cached_vectors_are_immutable(self, shared_decomposer):
         kwargs = _study_kwargs(shared_decomposer)

@@ -1,5 +1,7 @@
 """Tests for the Kraus channels and the calibration-driven noise model."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,11 @@ from repro.simulators.noise import (
     depolarizing_channel,
     depolarizing_probability_from_error_rate,
     expand_channel,
+    pauli_string_matrix,
     phase_damping_channel,
     thermal_relaxation_channel,
 )
-from repro.simulators.noise_model import NoiseModel
+from repro.simulators.noise_model import CHANNEL_MEMOS, NoiseModel, relaxation_channel
 
 
 class TestKrausChannels:
@@ -163,3 +166,66 @@ class TestNoiseModel:
         model = NoiseModel.uniform(3, 0.02, readout_error=0.05)
         assert model.qubit_readout_error(2) == pytest.approx(0.05)
         assert model.qubit_t1(1) > 0
+
+
+class TestChannelMemos:
+    """The channel constructors are memoised on their exact inputs."""
+
+    def test_equal_inputs_share_one_read_only_channel(self):
+        first = depolarizing_channel(0.0123, 2)
+        assert depolarizing_channel(0.0123, 2) is first
+        assert depolarizing_channel(0.0123, 1) is not first
+        relaxation = relaxation_channel(32.0, 15_000.0, 12_000.0)
+        assert relaxation_channel(32.0, 15_000.0, 12_000.0) is relaxation
+        assert relaxation_channel(32.0, 15_000.0, 11_000.0) is not relaxation
+        for channel in (first, relaxation):
+            for operator in channel.operators:
+                assert not operator.flags.writeable
+                with pytest.raises(ValueError):
+                    operator[0, 0] = 0.0
+
+    def test_memoised_depolarizing_matches_direct_construction(self):
+        for probability, num_qubits in ((0.0, 1), (0.02, 1), (0.0133, 2), (1.0, 2)):
+            dim = 4**num_qubits
+            labels = ["".join(c) for c in itertools.product("IXYZ", repeat=num_qubits)]
+            identity_weight = np.sqrt(1.0 - probability + probability / dim)
+            pauli_weight = np.sqrt(probability / dim)
+            expected = [identity_weight * pauli_string_matrix(labels[0])]
+            expected += [pauli_weight * pauli_string_matrix(label) for label in labels[1:]]
+            channel = depolarizing_channel(probability, num_qubits)
+            assert len(channel.operators) == dim
+            for operator, reference in zip(channel.operators, expected):
+                assert np.array_equal(operator, reference)
+
+    def test_invalid_inputs_raise_on_every_call(self):
+        for _ in range(2):  # failures are never memoised
+            with pytest.raises(ValueError):
+                depolarizing_channel(1.5)
+            with pytest.raises(ValueError):
+                thermal_relaxation_channel(-1, 100, 100)
+            with pytest.raises(ValueError):
+                relaxation_channel(-1, 100, 100)
+        with pytest.raises(ValueError, match="not trace preserving"):
+            KrausChannel("bad", (np.array([[0.5, 0], [0, 0.5]]),))
+
+    def test_identity_relaxation_is_none(self):
+        assert relaxation_channel(0.0, 10_000.0, 10_000.0) is None
+        assert relaxation_channel(25.0, 10_000.0, 10_000.0) is not None
+
+    def test_noise_model_shares_channels_between_operations(self):
+        model = NoiseModel.uniform(3, two_qubit_error=0.01)
+        cz = named_gate("cz")
+        first = model.error_channels_for_operation(Operation(cz, (0, 1)), [0, 1, 2])
+        second = model.error_channels_for_operation(Operation(cz, (1, 2)), [0, 1, 2])
+        assert len(first) == len(second) == 3  # depolarizing + relaxation per qubit
+        assert all(a is b for (a, _), (b, _) in zip(first, second))
+        assert model.idle_channel(0, 0, 32.0)[0] is first[1][0]
+
+    def test_clear_experiment_caches_empties_the_memos(self):
+        from repro.experiments.engine import clear_experiment_caches
+
+        depolarizing_channel(0.05, 1)
+        relaxation_channel(25.0, 10_000.0, 10_000.0)
+        assert all(memo.cache_info().currsize > 0 for memo in CHANNEL_MEMOS)
+        clear_experiment_caches()
+        assert all(memo.cache_info().currsize == 0 for memo in CHANNEL_MEMOS)

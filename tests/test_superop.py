@@ -13,6 +13,10 @@ Contracts under test:
   of one per Kraus operator, and adjacent same-support groups merge
   across moment boundaries;
 * lowered artefacts are derived once per program and cached on it;
+* a program whose gates share memoised channel objects has the same
+  fingerprint and byte-identical fused superoperators as one built
+  with a fresh channel per gate (sim-cache keys and fused numerics
+  never move silently);
 * an engine study run end-to-end on the fused kernel agrees with the
   reference-kernel run to ``1e-10`` on every metric column without
   sharing simulation-cache entries.
@@ -20,19 +24,29 @@ Contracts under test:
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.applications import qv_circuit
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.instruction_sets import google_instruction_set, single_gate_set
+from repro.circuits.hashing import update_digest_array, update_digest_scalars
+from repro.core.instruction_sets import (
+    full_xy_set,
+    google_instruction_set,
+    single_gate_set,
+)
+from repro.core.pipeline import compile_circuit
 from repro.devices.synthetic import synthetic_device
 from repro.experiments.engine import clear_experiment_caches, run_study
 from repro.experiments.runner import SimulationOptions
 from repro.metrics.hop import heavy_output_probability
 from repro.simulators.backend import SIM_KERNEL_ENV_VAR
 from repro.simulators.density_matrix import apply_program_to_density_matrix
-from repro.simulators.noise_model import NoiseModel
+from repro.simulators import noise_model as noise_model_module
+from repro.simulators.noise import depolarizing_channel
+from repro.simulators.noise_model import NoiseModel, relaxation_channel
 from repro.simulators.noise_program import NoiseProgram, build_noise_program
 from repro.simulators.statevector import zero_state, zero_states
 from repro.simulators.superop import (
@@ -250,6 +264,96 @@ class TestFusionStructure:
         program = random_program(2, seed=11, noisy=True)
         assert superop_program_for(program) is superop_program_for(program)
         assert trajectory_plan_for(program) is trajectory_plan_for(program)
+
+
+def fused_groups_digest(program: NoiseProgram) -> str:
+    """SHA-256 over every fused group's qubits and superoperator bytes."""
+    digest = hashlib.sha256()
+    for group in lower_noise_program(program).groups:
+        digest.update(repr(group.qubits).encode())
+        digest.update(group.superoperator.tobytes())
+    return digest.hexdigest()
+
+
+def reference_fingerprint(program: NoiseProgram) -> str:
+    """:meth:`NoiseProgram.fingerprint` spelled out with nothing reused:
+    every Kraus operator of every application goes through
+    :func:`update_digest_array` on its own."""
+    digest = hashlib.sha256()
+    update_digest_scalars(digest, "noise-program", program.num_qubits, len(program.moments))
+    for moment in program.moments:
+        update_digest_scalars(
+            digest, "moment", moment.duration, len(moment.operations), len(moment.idle_channels)
+        )
+        for operation in moment.operations:
+            update_digest_scalars(digest, "op", *operation.qubits)
+            update_digest_array(digest, operation.matrix)
+            for channel, qubits in operation.channels:
+                update_digest_scalars(digest, "chan", *qubits)
+                for operator in channel.operators:
+                    update_digest_array(digest, operator)
+        for channel, qubits in moment.idle_channels:
+            update_digest_scalars(digest, "idle", *qubits)
+            for operator in channel.operators:
+                update_digest_array(digest, operator)
+    return digest.hexdigest()
+
+
+def program_channels(program: NoiseProgram) -> list:
+    """Every channel application of a program, gate noise then idle noise."""
+    channels = []
+    for moment in program.moments:
+        for operation in moment.operations:
+            channels.extend(channel for channel, _ in operation.channels)
+        channels.extend(channel for channel, _ in moment.idle_channels)
+    return channels
+
+
+class TestGoldenLowering:
+    """Sharing channels moves no bit of a fingerprint or fused superoperator.
+
+    A 3q QV circuit compiled onto a 3q line is lowered twice against the
+    same calibration: once through the memoised channel constructors
+    (shared channel objects, so fingerprint payloads and superoperators
+    are reused), and once with the memos bypassed so every gate gets
+    freshly built channels and every superoperator is derived per
+    application.  The program fingerprint (a simulation-cache key
+    component) must equal the spelled-out reference digest, and the
+    fused groups must match byte for byte.  Both sides are computed on
+    the same machine, so the check does not depend on how this build's
+    BLAS rounds NuOp's compiled gates.
+    """
+
+    @pytest.mark.parametrize(
+        "instruction_set", [single_gate_set("S1"), full_xy_set()], ids=["S1", "FullXY"]
+    )
+    def test_shared_channels_are_bit_identical_to_unshared(
+        self, instruction_set, monkeypatch
+    ):
+        device = synthetic_device(3, "line", seed=7)
+        compiled = compile_circuit(qv_circuit(3, rng=7), device, instruction_set)
+        physical = list(compiled.physical_qubits)
+        clear_experiment_caches()
+        shared = build_noise_program(compiled.circuit, device.noise_model, physical)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                noise_model_module, "depolarizing_channel", depolarizing_channel.__wrapped__
+            )
+            patch.setattr(
+                noise_model_module, "relaxation_channel", relaxation_channel.__wrapped__
+            )
+            unshared = build_noise_program(compiled.circuit, device.noise_model, physical)
+
+        shared_channels = program_channels(shared)
+        unshared_channels = program_channels(unshared)
+        assert len(shared_channels) == len(unshared_channels)
+        assert len({id(c) for c in shared_channels}) < len(shared_channels)
+        assert len({id(c) for c in unshared_channels}) == len(unshared_channels)
+
+        fingerprint = shared.fingerprint()
+        assert fingerprint == reference_fingerprint(shared)
+        assert fingerprint == reference_fingerprint(unshared) == unshared.fingerprint()
+        assert fused_groups_digest(shared) == fused_groups_digest(unshared)
 
 
 class TestFusedStudyEndToEnd:
