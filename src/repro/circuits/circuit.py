@@ -53,7 +53,16 @@ class Operation:
 
 
 class QuantumCircuit:
-    """An ordered sequence of gate operations on ``num_qubits`` qubits."""
+    """An ordered sequence of gate operations on ``num_qubits`` qubits.
+
+    The operation list is append-only: :meth:`append` is its only mutator
+    and every transformation builds a new circuit.  That is what lets
+    :func:`repro.circuits.hashing.circuit_fingerprint` memoise the content
+    digest here, stamped with ``(num_qubits, len(self))``.
+    """
+
+    _digest_memo: Optional[Tuple[Tuple[int, int], str]] = None
+    """``(stamp, hex digest)`` set by ``circuit_fingerprint``; never pickled."""
 
     def __init__(self, num_qubits: int, name: str = "circuit"):
         if num_qubits < 1:
@@ -206,6 +215,7 @@ class QuantumCircuit:
         """Shallow copy (operations are immutable, so this is safe)."""
         clone = QuantumCircuit(self.num_qubits, name=self.name)
         clone._operations = list(self._operations)
+        clone._digest_memo = self._digest_memo
         return clone
 
     def inverse(self) -> "QuantumCircuit":
@@ -248,6 +258,14 @@ class QuantumCircuit:
             for replacement in function(operation):
                 result.append_operation(replacement)
         return result
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The digest memo is derived state: leaving it out keeps pickles
+        # (and so disk-cache entries) byte-identical whether or not the
+        # circuit was fingerprinted first.
+        state = dict(self.__dict__)
+        state.pop("_digest_memo", None)
+        return state
 
     # -- linear algebra ------------------------------------------------------
 

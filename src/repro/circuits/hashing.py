@@ -19,6 +19,20 @@ the *content* that determines compilation and simulation behaviour:
 
 Digests are hex strings, safe to combine into tuple cache keys and to
 compare across worker processes.
+
+**Circuit digest memo.**  :func:`circuit_fingerprint` stores its result on
+the circuit, stamped with ``(num_qubits, len(circuit))``, and returns the
+stored digest while the stamp still matches.  The circuit IR is
+append-only (``append`` is the only mutator; ``copy()`` builds a new
+object and carries the memo over), so a circuit whose stamp is unchanged
+has unchanged content: the stamp is exact without a lock.  The digest is
+computed over one snapshot of the operation list, so a thread appending
+while another hashes can only leave a memo stamped for the shorter
+prefix, which the next call at the new length ignores.  The memo is
+excluded from pickles, so disk-cache entries are byte-identical whether
+or not a circuit was hashed before it was stored.  Daemon requests that
+share suite circuits (:mod:`repro.service.server`) and compiled circuits
+served from the memory compile tier therefore hash each circuit once.
 """
 
 from __future__ import annotations
@@ -122,13 +136,23 @@ def circuit_fingerprint(circuit: "QuantumCircuit") -> str:
     circuits with identical operations compile identically, and experiment
     drivers routinely rename circuits per instruction set.
     """
+    num_qubits = circuit.num_qubits
+    memo = circuit._digest_memo
+    if memo is not None and memo[0] == (num_qubits, len(circuit)):
+        return memo[1]
+    # One snapshot read: a concurrent ``append`` can only extend the list,
+    # so the snapshot is an exact prefix and its stamp names it exactly.
+    operations = circuit.operations
+    stamp = (num_qubits, len(operations))
     digest = hashlib.sha256()
-    _update_with_scalars(digest, ("circuit", circuit.num_qubits, len(circuit)))
-    for operation in circuit:
+    _update_with_scalars(digest, ("circuit", stamp[0], stamp[1]))
+    for operation in operations:
         _update_with_scalars(digest, operation.qubits)
         _update_with_scalars(digest, (operation.gate.type_key,))
         _update_with_array(digest, operation.gate.matrix)
-    return digest.hexdigest()
+    hexdigest = digest.hexdigest()
+    circuit._digest_memo = (stamp, hexdigest)
+    return hexdigest
 
 
 def instruction_set_fingerprint(instruction_set: "InstructionSet") -> str:

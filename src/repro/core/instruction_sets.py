@@ -13,6 +13,7 @@ sets are studied:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.gate_types import GateType, google_gate_type, rigetti_gate_type
@@ -131,26 +132,39 @@ def full_fsim_set() -> InstructionSet:
     return InstructionSet(name="FullfSim", continuous_family="fsim", vendor="google")
 
 
+@lru_cache(maxsize=1)
+def _google_sets() -> Tuple[Tuple[str, InstructionSet], ...]:
+    sets = [(label, single_gate_set(label, vendor="google"))
+            for label in ("S1", "S2", "S3", "S4", "S5", "S6", "S7")]
+    sets += [(name, google_instruction_set(name)) for name in _GOOGLE_SET_MEMBERS]
+    sets.append(("FullfSim", full_fsim_set()))
+    return tuple(sets)
+
+
+@lru_cache(maxsize=1)
+def _rigetti_sets() -> Tuple[Tuple[str, InstructionSet], ...]:
+    sets = [(label, single_gate_set(label, vendor="rigetti"))
+            for label in ("S2", "S3", "S4", "S5", "S6")]
+    sets += [(name, rigetti_instruction_set(name)) for name in _RIGETTI_SET_MEMBERS]
+    sets.append(("FullXY", full_xy_set()))
+    return tuple(sets)
+
+
 def google_catalogue() -> Dict[str, InstructionSet]:
-    """Every instruction set evaluated on Sycamore (Figure 10)."""
-    catalogue: Dict[str, InstructionSet] = {}
-    for label in ("S1", "S2", "S3", "S4", "S5", "S6", "S7"):
-        catalogue[label] = single_gate_set(label, vendor="google")
-    for name in _GOOGLE_SET_MEMBERS:
-        catalogue[name] = google_instruction_set(name)
-    catalogue["FullfSim"] = full_fsim_set()
-    return catalogue
+    """Every instruction set evaluated on Sycamore (Figure 10).
+
+    The frozen sets are built once per process; each call returns a new
+    dict over them, so callers may mutate the dict they get.
+    """
+    return dict(_google_sets())
 
 
 def rigetti_catalogue() -> Dict[str, InstructionSet]:
-    """Every instruction set evaluated on Aspen-8 (Figure 9)."""
-    catalogue: Dict[str, InstructionSet] = {}
-    for label in ("S2", "S3", "S4", "S5", "S6"):
-        catalogue[label] = single_gate_set(label, vendor="rigetti")
-    for name in _RIGETTI_SET_MEMBERS:
-        catalogue[name] = rigetti_instruction_set(name)
-    catalogue["FullXY"] = full_xy_set()
-    return catalogue
+    """Every instruction set evaluated on Aspen-8 (Figure 9).
+
+    Shares its frozen sets across calls like :func:`google_catalogue`.
+    """
+    return dict(_rigetti_sets())
 
 
 def table2_catalogue() -> Dict[str, InstructionSet]:

@@ -291,6 +291,17 @@ def _simulation_cache_put(key: Tuple, vector: np.ndarray) -> np.ndarray:
     return vector
 
 
+def peek_simulation_memory(key: Tuple) -> Optional[np.ndarray]:
+    """Memory-tier lookup that counts nothing and keeps the LRU order.
+
+    Cheap and non-blocking, so callers may run it under their own lock:
+    the daemon's in-flight table re-checks a miss with it right before
+    starting an owner (see :meth:`repro.service.dedup.InFlightTable.submit`).
+    """
+    with _SIM_CACHE_LOCK:
+        return _SIM_CACHE.get(key)
+
+
 def simulation_cache_stats() -> Dict[str, int]:
     """Hit/miss/size counters of the simulation-result memory cache."""
     with _SIM_CACHE_LOCK:

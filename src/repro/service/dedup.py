@@ -124,8 +124,11 @@ class InFlightTable:
     # -- attachment patterns -------------------------------------------------
 
     def submit(
-        self, key: Hashable, schedule: Callable[[], "Future[T]"]
-    ) -> "Tuple[Future[T], bool]":
+        self,
+        key: Hashable,
+        schedule: Callable[[], "Future[T]"],
+        probe: Optional[Callable[[], Optional[T]]] = None,
+    ) -> "Tuple[Future[T], Optional[bool]]":
         """Attach to in-flight work under ``key``, scheduling it if absent.
 
         Returns ``(future, owner)``.  When no work is in flight the
@@ -137,6 +140,15 @@ class InFlightTable:
         callback, so schedule the *full* job -- compute **and** cache
         store -- under the future: by the time the key is gone, the
         cache tiers already serve the result.
+
+        ``probe`` closes the gap between the caller's own cache miss and
+        this call, in which an identical job may have stored its result
+        and retired its key.  It runs under the table lock right before
+        an owner would start, so it must be a cheap non-blocking lookup
+        (the memory tier).  Owners store before their key retires under
+        this lock, so the probe sees every such result; a hit comes back
+        as an already resolved future with ``owner=None``, and nothing is
+        started or coalesced.
         """
         while True:
             existing = self._acquire_ownership(key)
@@ -152,6 +164,11 @@ class InFlightTable:
                     return raced, False
                 if self._backoff_remaining(key) > 0:
                     continue
+                hit = probe() if probe is not None else None
+                if hit is not None:
+                    resolved: "Future[T]" = Future()
+                    resolved.set_result(hit)
+                    return resolved, None
                 future = schedule()
                 self._futures[key] = future
                 self._stats["started"] += 1

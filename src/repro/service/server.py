@@ -21,9 +21,11 @@ other than the CPU.
 
 Execution model per request (:meth:`StudyService.run_study_spec`):
 
-1. *Build* the study from the spec's registry names (fresh device per
+1. *Build* the study from the spec's registry names.  Instruction-set
+   catalogues and application suites are shared across requests (so are
+   the suite circuits' memoised digests); the device is fresh per
    request -- determinism requires each study to sample calibration
-   through its own RNG in canonical order).
+   through its own RNG in canonical order.
 2. *Prepare* every job serially in canonical order.  Compiles route
    through :meth:`~repro.service.dedup.InFlightTable.coalesce`, so an
    identical compile already running in another request is awaited and
@@ -52,6 +54,7 @@ hold a handler thread.
 
 from __future__ import annotations
 
+import functools
 import json
 import signal
 import threading
@@ -82,6 +85,25 @@ from repro.service.protocol import (
 )
 
 REQUEST_DEADLINE_ENV_VAR = "REPRO_RETRY_REQUEST_DEADLINE_MS"
+
+
+SUITE_CACHE_SIZE = 64
+"""Application suites a daemon keeps shared across requests (LRU)."""
+
+
+@functools.lru_cache(maxsize=SUITE_CACHE_SIZE)
+def _shared_suite(
+    application: str, num_qubits: int, num_circuits: int, seed: int
+) -> tuple:
+    """One suite's circuits, built once and shared by every request for it.
+
+    Sharing is safe because no stage of a study mutates its input
+    circuits (compilation and simulation build new ones), and it lets
+    every request reuse the circuits' memoised content digests.
+    """
+    from repro.applications.registry import build_suite
+
+    return tuple(build_suite(application, num_qubits, num_circuits, seed))
 
 
 class ServiceDraining(RuntimeError):
@@ -242,9 +264,11 @@ class StudyService:
         Everything comes from registries keyed by the spec's names, so
         equal specs materialise into studies with equal content
         fingerprints in any process -- the property the cache tiers and
-        the in-flight tables key on.
+        the in-flight tables key on.  Catalogues and suites are shared,
+        read-only content (see ``docs/service.md``, "Warm request path");
+        the device is built fresh because its calibration RNG is
+        per-study state.
         """
-        from repro.applications.registry import build_suite
         from repro.core.instruction_sets import (
             google_catalogue,
             rigetti_catalogue,
@@ -279,8 +303,10 @@ class StudyService:
                 name: catalogue[name] for name in catalogue if name in set(spec.sets)
             }
         metric_name, metric = resolve_metric(spec.metric)
-        circuits = build_suite(
-            spec.application, spec.num_qubits, spec.num_circuits, spec.seed
+        circuits = list(
+            _shared_suite(
+                spec.application, spec.num_qubits, spec.num_circuits, spec.seed
+            )
         )
         device = synthetic_device(
             max(spec.num_qubits, 2), spec.topology, seed=spec.device_seed
@@ -409,6 +435,7 @@ class StudyService:
             group_prepared_for_batch,
             ideal_distribution_cached,
             merge_study_results,
+            peek_simulation_memory,
             prepare_job,
             store_simulation,
         )
@@ -490,45 +517,55 @@ class StudyService:
                 # owner's group task resolves it (store-before-resolve,
                 # like the per-job path) once the batch executes.
                 job_future: Future = Future()
-                future, owner = self._simulations.submit(
-                    unit.cache_key, lambda job_future=job_future: job_future
-                )
-                if owner:
-                    pending_batch.append((unit, job_future, invoked))
-                sources[job] = ("owner", invoked) if owner else "inflight"
-                futures[job] = future
-                continue
 
-            def task(unit=unit, invoked=invoked):
-                # Re-check the tiers first: a concurrent identical job may
-                # have stored and retired its in-flight key in the gap
-                # between this request's cache miss and its submit.  The
-                # in-flight table only retires a key *after* the store, so
-                # post-retirement arrivals always hit here.
-                hit = fetch_cached_simulation(unit, self._sim_disk)
-                if hit is not None:
-                    return hit[0]
-                invoked["backend"] = True
-                # Retry under the service policy: the job is pure given
-                # its prepared program, so a retried vector is
-                # bit-identical to a first-try one.
-                vector = call_with_retry(
-                    lambda: execute_prepared_simulation(unit),
-                    self.retry_policy,
-                    describe=(
-                        f"serve job {unit.job.set_name}#{unit.job.circuit_index}"
-                    ),
-                    counters=request_resilience,
-                )
-                # Store *before* the future resolves: the in-flight key
-                # retires on completion, and by then the tiers must
-                # already serve the result (no gap for a third arrival
-                # to recompute in).
-                return store_simulation(unit, vector, self._sim_disk)
+                def schedule(job_future=job_future):
+                    return job_future
 
+            else:
+
+                def task(unit=unit, invoked=invoked):
+                    # Re-check the tiers first: the submit probe below
+                    # reads only the memory tier, so a result an identical
+                    # job stored that has since left the memory LRU is
+                    # still served from disk here.
+                    hit = fetch_cached_simulation(unit, self._sim_disk)
+                    if hit is not None:
+                        return hit[0]
+                    invoked["backend"] = True
+                    # Retry under the service policy: the job is pure given
+                    # its prepared program, so a retried vector is
+                    # bit-identical to a first-try one.
+                    vector = call_with_retry(
+                        lambda: execute_prepared_simulation(unit),
+                        self.retry_policy,
+                        describe=(
+                            f"serve job {unit.job.set_name}#{unit.job.circuit_index}"
+                        ),
+                        counters=request_resilience,
+                    )
+                    # Store *before* the future resolves: the in-flight key
+                    # retires on completion, and by then the tiers must
+                    # already serve the result (no gap for a third arrival
+                    # to recompute in).
+                    return store_simulation(unit, vector, self._sim_disk)
+
+                def schedule(task=task):
+                    return self._executor.submit(task)
+
+            # The probe re-checks the memory tier under the table lock: an
+            # identical job may have stored its result and retired its key
+            # since this request's miss above, and owning it again would
+            # over-count started work.
             future, owner = self._simulations.submit(
-                unit.cache_key, lambda task=task: self._executor.submit(task)
+                unit.cache_key,
+                schedule,
+                probe=functools.partial(peek_simulation_memory, unit.cache_key),
             )
+            if owner is None:
+                measured[job], sources[job] = future.result(), "memory"
+                continue
+            if owner and self.batch != 1:
+                pending_batch.append((unit, job_future, invoked))
             # Source is resolved after the future completes: an owner whose
             # task found the tiers already populated reports the cache, not
             # the backend, so per-request `executed` equals real backend

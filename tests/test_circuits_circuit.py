@@ -1,9 +1,14 @@
 """Tests for the QuantumCircuit IR."""
 
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.circuits.circuit import Operation, QuantumCircuit
+from repro.circuits.hashing import circuit_fingerprint
 from repro.circuits.gate import named_gate, rzz_gate, unitary_gate
 from repro.gates import standard
 from repro.gates.unitary import allclose_up_to_global_phase, random_su4
@@ -149,3 +154,118 @@ class TestCircuitRendering:
         assert "demo" in text
         assert "fsim" in text
         assert "[0, 1]" in text
+
+
+# The benchmark's instruction-set study: the paper's four applications at
+# their design sizes, one circuit each, and three sets per vendor.
+DESIGN_APPS = (("qv", 3), ("qaoa", 4), ("fh", 4), ("qft", 3))
+DESIGN_SETS = (("google", ("S1", "G3", "FullfSim")), ("rigetti", ("S3", "R2", "FullXY")))
+
+
+def _rebuilt(circuit):
+    """An identical circuit built from scratch, so it holds no digest memo."""
+    return QuantumCircuit(circuit.num_qubits, name=circuit.name).extend(circuit.operations)
+
+
+def _scratch_digest(circuit):
+    return circuit_fingerprint(_rebuilt(circuit))
+
+
+@pytest.fixture(scope="module")
+def design_circuits(shared_decomposer):
+    """Every design-suite circuit and every circuit it compiles to."""
+    from repro.applications.registry import build_suite
+    from repro.core.instruction_sets import google_catalogue, rigetti_catalogue
+    from repro.core.pipeline import compile_circuit
+    from repro.devices.synthetic import synthetic_device
+
+    catalogues = {"google": google_catalogue(), "rigetti": rigetti_catalogue()}
+    circuits = []
+    for application, qubits in DESIGN_APPS:
+        (circuit,) = build_suite(application, qubits, 1, 2021)
+        circuits.append(circuit)
+        for vendor, names in DESIGN_SETS:
+            device = synthetic_device(qubits, "line", seed=7)
+            for name in names:
+                compiled = compile_circuit(
+                    circuit, device, catalogues[vendor][name], decomposer=shared_decomposer
+                )
+                circuits.append(compiled.circuit)
+    return circuits
+
+
+class TestCircuitDigestMemo:
+    def test_memoised_digest_matches_scratch_digest_on_design_suite(self, design_circuits):
+        assert len(design_circuits) == 4 * (1 + 6)
+        for circuit in design_circuits:
+            first = circuit_fingerprint(circuit)
+            assert circuit._digest_memo is not None
+            assert circuit_fingerprint(circuit) == first  # served from the memo
+            assert first == _scratch_digest(circuit)
+
+    def test_append_after_fingerprint_changes_digest(self):
+        circuit = QuantumCircuit(2).h(0).cz(0, 1)
+        before = circuit_fingerprint(circuit)
+        circuit.rz(0.3, 1)
+        after = circuit_fingerprint(circuit)
+        assert after != before
+        assert after == _scratch_digest(circuit)
+
+    def test_copy_carries_memo_and_diverges_on_append(self):
+        circuit = QuantumCircuit(2).h(0).cz(0, 1)
+        original = circuit_fingerprint(circuit)
+        clone = circuit.copy()
+        assert clone._digest_memo == circuit._digest_memo
+        clone.x(1)
+        assert circuit_fingerprint(clone) != original
+        assert circuit_fingerprint(clone) == _scratch_digest(clone)
+        assert circuit_fingerprint(circuit) == original
+        assert len(circuit) == 2
+
+    def test_pickle_bytes_unchanged_by_fingerprinting(self, design_circuits):
+        for circuit in design_circuits + [QuantumCircuit(2).h(0)]:
+            clean = pickle.dumps(_rebuilt(circuit))
+            circuit_fingerprint(circuit)
+            assert pickle.dumps(circuit) == clean
+            restored = pickle.loads(clean)
+            assert restored._digest_memo is None
+            assert circuit_fingerprint(restored) == circuit_fingerprint(circuit)
+
+    def test_concurrent_append_never_returns_stale_digest(self):
+        operations = [
+            Operation(named_gate("cz") if k % 3 == 0 else rzz_gate(0.01 * k), (k % 3, (k + 1) % 3))
+            for k in range(300)
+        ]
+        prefix_digests = [
+            circuit_fingerprint(QuantumCircuit(3).extend(operations[:length]))
+            for length in range(len(operations) + 1)
+        ]
+        circuit = QuantumCircuit(3)
+        done = threading.Event()
+        bad = []
+
+        def appender():
+            for operation in operations:
+                circuit.append_operation(operation)
+            done.set()
+
+        def hasher():
+            while not done.is_set():
+                low = len(circuit)
+                digest = circuit_fingerprint(circuit)
+                high = len(circuit)
+                if digest not in prefix_digests[low:high + 1]:
+                    bad.append((low, high))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hasher), threading.Thread(target=appender)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not bad
+        assert circuit_fingerprint(circuit) == prefix_digests[-1]

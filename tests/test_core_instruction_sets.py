@@ -1,5 +1,7 @@
 """Tests for the gate-type and instruction-set catalogue (Table II)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,34 @@ class TestInstructionSets:
         for instruction_set in google_catalogue().values():
             keys = instruction_set.type_keys()
             assert len(keys) == len(set(keys))
+
+
+def _same_catalogue(left, right):
+    return list(left) == list(right) and all(left[name] is right[name] for name in left)
+
+
+class TestSharedCatalogues:
+    def test_each_call_returns_a_new_dict_over_the_same_frozen_sets(self):
+        for catalogue in (google_catalogue, rigetti_catalogue):
+            first, second = catalogue(), catalogue()
+            assert first is not second
+            assert _same_catalogue(first, second)
+            for name in first:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    first[name].name = "renamed"
+
+    def test_mutating_a_returned_dict_never_reaches_later_calls(self):
+        reference = google_catalogue()
+        mutated = google_catalogue()
+        mutated["S1"] = rigetti_catalogue()["S2"]
+        mutated.pop("G3")
+        mutated["extra"] = full_xy_set()
+        assert _same_catalogue(google_catalogue(), reference)
+
+    def test_table2_catalogue_leaves_google_catalogue_unchanged(self):
+        reference = google_catalogue()
+        combined = table2_catalogue()
+        assert combined["S2"].vendor == "rigetti"  # the Rigetti update wins
+        assert _same_catalogue(google_catalogue(), reference)
+        assert google_catalogue()["S2"].vendor == "google"
+        assert "FullXY" not in google_catalogue()

@@ -277,6 +277,37 @@ class TestInFlightTable:
         assert table.stats()["started"] == 2
         assert table.stats()["coalesced"] == 0
 
+    def test_probe_hit_resolves_without_starting_an_owner(self):
+        table = InFlightTable()
+        scheduled = []
+        future, owner = table.submit(
+            "key", lambda: scheduled.append(1), probe=lambda: "stored"
+        )
+        assert owner is None
+        assert future.done() and future.result() == "stored"
+        assert not scheduled
+        stats = table.stats()
+        assert (stats["started"], stats["coalesced"], stats["inflight"]) == (0, 0, 0)
+
+    def test_probe_miss_starts_an_owner_and_running_work_is_joined_unprobed(self):
+        from concurrent.futures import Future
+
+        table = InFlightTable()
+        running: Future = Future()
+        probes = []
+
+        def probe():
+            probes.append(1)
+            return None
+
+        future, owner = table.submit("key", lambda: running, probe=probe)
+        assert (future, owner) == (running, True)
+        attached, owner = table.submit("key", lambda: Future(), probe=probe)
+        assert (attached, owner) == (running, False)
+        assert len(probes) == 1  # attaching to running work needs no probe
+        running.set_result("done")
+        assert table.stats()["started"] == 1
+
 
 # ---------------------------------------------------------------------------
 # Service (in-process)
@@ -375,6 +406,60 @@ class TestStudyService:
         inflight = stats["inflight_simulations"]
         assert inflight["started"] == 4
         assert inflight["inflight"] == 0
+
+    def test_miss_racing_a_finished_identical_job_starts_no_owner(
+        self, cold_engine, monkeypatch
+    ):
+        # Replays the race deterministically: this request's tier check
+        # misses although an identical job has already stored its result
+        # and retired its in-flight key.  The submit probe must answer it
+        # from the memory tier instead of starting (and counting) a second
+        # owner.
+        import repro.experiments.engine as engine
+
+        service = StudyService()
+        spec = _small_spec()
+        try:
+            list(service.run_study_spec(spec))
+            monkeypatch.setattr(engine, "fetch_cached_simulation", lambda *a, **k: None)
+            records = list(service.run_study_spec(spec))
+        finally:
+            service.close()
+        assert _sources(records) == ["memory"] * 4
+        assert records[-1]["executed"] == 0
+        assert _total_invocations() == 4
+        assert service.stats()["inflight_simulations"]["started"] == 4
+
+    def test_requests_for_one_spec_share_suite_circuits(self):
+        service = StudyService()
+        try:
+            first = service.build_study(_small_spec())["circuits"]
+            second = service.build_study(_small_spec(sim_seed=99))["circuits"]
+        finally:
+            service.close()
+        assert first is not second  # each request gets its own list
+        assert len(first) == 2
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_running_a_study_leaves_shared_circuits_unchanged(self, cold_engine):
+        from repro.circuits.circuit import QuantumCircuit
+        from repro.circuits.hashing import circuit_fingerprint
+
+        def scratch_digest(circuit):
+            fresh = QuantumCircuit(circuit.num_qubits).extend(circuit.operations)
+            return circuit_fingerprint(fresh)
+
+        service = StudyService()
+        spec = _small_spec(error_scales=(1.0, 2.0))
+        try:
+            shared = service.build_study(spec)["circuits"]
+            before = [(len(c), scratch_digest(c)) for c in shared]
+            list(service.run_study_spec(spec))
+            list(service.run_study_spec(spec))
+        finally:
+            service.close()
+        assert [(len(c), scratch_digest(c)) for c in shared] == before
+        assert [circuit_fingerprint(c) for c in shared] == [d for _, d in before]
 
     def test_unknown_names_rejected_before_any_work(self, cold_engine):
         service = StudyService()
