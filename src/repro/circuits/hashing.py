@@ -38,7 +38,7 @@ served from the memory compile tier therefore hash each circuit once.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -102,13 +102,52 @@ def hash_scalars(*values: object) -> str:
     return digest.hexdigest()
 
 
+class FrozenTable(dict):
+    """A read-only ``dict`` that memoises its :func:`hash_mapping` digest.
+
+    The noise model's calibration tables become frozen tables when a
+    device binds them (:class:`repro.simulators.noise_model.NoiseModel`).
+    Every mutator raises ``TypeError``, so the content -- and therefore
+    the digest, computed on first use -- never changes, and device
+    factories that share one table share its digest.  Copies and pickles
+    rebuild a frozen table of the same content (``__reduce__``; a
+    ``types.MappingProxyType`` survives neither) and recompute the digest
+    lazily.  ``dict(table)`` and ``table.copy()`` give mutable plain
+    dicts.
+    """
+
+    __slots__ = ("_digest",)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        self._digest: Optional[str] = None
+
+    def _read_only(self, *args: object, **kwargs: object) -> None:
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only  # type: ignore[assignment]
+    clear = pop = popitem = setdefault = update = _read_only  # type: ignore[assignment]
+
+    def __reduce__(self):
+        return (type(self), (dict(self),))
+
+
 def hash_mapping(mapping: Mapping[object, object]) -> str:
     """Order-insensitive digest of a mapping with scalar keys and values.
 
     Nested mappings (e.g. per-edge, per-gate-type error-rate tables) are
     supported one level deep, which covers every calibration table in the
-    noise model.
+    noise model.  A :class:`FrozenTable` is hashed once and then answers
+    from its memo.
     """
+    if isinstance(mapping, FrozenTable):
+        if mapping._digest is None:
+            mapping._digest = _hash_mapping_content(mapping)
+        return mapping._digest
+    return _hash_mapping_content(mapping)
+
+
+def _hash_mapping_content(mapping: Mapping[object, object]) -> str:
     digest = hashlib.sha256()
     for key in sorted(mapping, key=repr):
         value = mapping[key]

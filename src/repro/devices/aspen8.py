@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.devices.device import Device, GateErrorDistribution
 from repro.devices.topology import octagon_chain_topology
-from repro.simulators.noise_model import NoiseModel
+from repro.simulators.noise_model import NoiseModel, uniform_qubit_table
 
 Edge = Tuple[int, int]
 
@@ -82,7 +82,12 @@ def aspen8_device(
     topology = octagon_chain_topology(
         num_rings=4, ring_size=8, missing_qubits=NON_FUNCTIONAL_QUBITS, name="aspen-8"
     )
+    qubits = tuple(topology.graph.nodes)
     noise_model = NoiseModel(
+        single_qubit_error=uniform_qubit_table(qubits, SINGLE_QUBIT_ERROR),
+        t1=uniform_qubit_table(qubits, T1_NS),
+        t2=uniform_qubit_table(qubits, T2_NS),
+        readout_error=uniform_qubit_table(qubits, READOUT_ERROR),
         default_single_qubit_error=SINGLE_QUBIT_ERROR,
         default_two_qubit_error=0.05,
         default_t1=T1_NS,
@@ -91,11 +96,6 @@ def aspen8_device(
         single_qubit_duration=SINGLE_QUBIT_DURATION_NS,
         two_qubit_duration=TWO_QUBIT_DURATION_NS,
     )
-    for qubit in topology.graph.nodes:
-        noise_model.single_qubit_error[qubit] = SINGLE_QUBIT_ERROR
-        noise_model.t1[qubit] = T1_NS
-        noise_model.t2[qubit] = T2_NS
-        noise_model.readout_error[qubit] = READOUT_ERROR
 
     # Arbitrary XY(theta) gates: fidelity uniform in 95-99% => error 1-5%.
     distribution = GateErrorDistribution(

@@ -15,19 +15,66 @@ error-rate distributions the paper specifies (Section VI):
 
 ``noise_variation=False`` reproduces the Figure 10e ablation where every
 gate type on an edge shares the same error rate.
+
+**Calibration fingerprint memo.**  A device's calibration is fixed at
+construction except for one mutator, :meth:`Device.register_gate_type`.
+Binding freezes the noise model (see
+:mod:`repro.simulators.noise_model`) and the topology graph, and the
+device's own identity attributes cannot be reassigned.  Each
+registration appends ``(type key, scale, provided rates)`` to an ordered
+log.  For a seeded device the two-qubit table is then a function of the
+static calibration, the seed, the error distribution and that log, so
+:meth:`Device.calibration_fingerprint` looks the digest up in a
+process-wide LRU keyed on ``(static digest, rendered log)`` and runs the
+full formula (:func:`_calibration_digest`) only on a miss.  The key
+renders scalars with their type and exact ``repr`` (provided rates as
+the plain floats registration stored), so it tells apart everything the
+formula tells apart (``2`` vs ``2.0``, ``0.0`` vs ``-0.0``).  A daemon request builds a fresh device that replays the same
+registrations as the previous request, so its fingerprints are memo hits.
+Unseeded devices (``seed=None``) draw from fresh entropy and always run
+the formula.  A device is single-writer: registering on one thread while
+another thread uses the same device was never supported.
 """
 
 from __future__ import annotations
 
+import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.circuits.hashing import FrozenTable, hash_mapping, hash_scalars
 from repro.devices.topology import Topology
 from repro.simulators.noise_model import NoiseModel
 
 Edge = Tuple[int, int]
+
+CALIBRATION_MEMO_SIZE = 1024
+"""LRU bound of the process-wide calibration-fingerprint memo.  A design
+study visits one device state per registration (about 8 per study), so
+this holds every state of a few hundred distinct studies."""
+
+_CALIBRATION_MEMO: "OrderedDict[Tuple[str, Tuple[str, ...]], str]" = OrderedDict()
+_CALIBRATION_MEMO_LOCK = threading.Lock()
+
+_FIXED_ATTRIBUTES = frozenset(
+    ("name", "topology", "noise_model", "two_qubit_error_distribution", "noise_variation", "seed")
+)
+"""Device attributes the fingerprint covers; assignable only in ``__init__``."""
+
+
+def _exact(value: object) -> str:
+    """``value`` rendered with its type and exact ``repr`` (memo-key component)."""
+    return f"{type(value).__qualname__}:{value!r}"
+
+
+def clear_calibration_memo() -> None:
+    """Empty the calibration-fingerprint memo (part of ``clear_experiment_caches``)."""
+    with _CALIBRATION_MEMO_LOCK:
+        _CALIBRATION_MEMO.clear()
 
 
 @dataclass(frozen=True)
@@ -69,7 +116,17 @@ class GateErrorDistribution:
 
 
 class Device:
-    """A quantum device: topology, calibration data and gate-type registry."""
+    """A quantum device: topology, calibration data and gate-type registry.
+
+    Construction binds the noise model, which freezes its tables, scalar
+    defaults and flags.  The topology graph is frozen too, and the
+    constructor's arguments cannot be reassigned.  From then on
+    :meth:`register_gate_type` is the only mutator: it writes the two-qubit
+    table and appends to :attr:`registration_log`, which keys the
+    calibration-fingerprint memo (see the module docstring).  Give a
+    device all its other calibration (readout errors included) before
+    constructing it.
+    """
 
     def __init__(
         self,
@@ -80,6 +137,7 @@ class Device:
         noise_variation: bool = True,
         seed: Optional[int] = 2021,
     ):
+        noise_model._bind()
         self.name = name
         self.topology = topology
         self.noise_model = noise_model
@@ -88,8 +146,54 @@ class Device:
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._registered_types: Dict[str, float] = {}
+        self._registration_log: Tuple[Tuple[str, float, Tuple[Tuple[Edge, float], ...]], ...] = ()
+        self._log_key: Tuple[str, ...] = ()
+        self._static_key = self._static_calibration_key()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in _FIXED_ATTRIBUTES and name in self.__dict__:
+            raise AttributeError(f"Device.{name} is fixed at construction")
+        object.__setattr__(self, name, value)
+
+    def _static_calibration_key(self) -> Optional[str]:
+        """Exact digest of everything but the registrations, or ``None`` when unseeded.
+
+        Covers every attribute of the noise model (frozen tables by their
+        memoised digests) and of the error distribution, plus the
+        distribution's class (it decides how draws turn into rates): a
+        superset of the formula's inputs other than the registered types
+        and the rates registration writes.
+        """
+        if not isinstance(self.seed, (int, np.integer)):
+            return None
+        distribution = self.two_qubit_error_distribution
+        values = [
+            self.name,
+            self.seed,
+            self.noise_variation,
+            self.topology.num_qubits,
+            repr(self.topology.edges),  # Topology stores plain int pairs
+            type(distribution).__qualname__,
+        ]
+        for name, value in vars(distribution).items():
+            values += (name, value)
+        for name, value in vars(self.noise_model).items():
+            values += (name, hash_mapping(value) if isinstance(value, FrozenTable) else value)
+        return hashlib.sha256("\x1f".join(map(_exact, values)).encode()).hexdigest()
 
     # -- gate-type calibration --------------------------------------------------
+
+    @property
+    def registration_log(self) -> Tuple[Tuple[str, float, Tuple[Tuple[Edge, float], ...]], ...]:
+        """Every registration so far, in order: ``(type key, scale, provided rates)``.
+
+        Provided rates are ``(edge, stored rate)`` pairs, in edge order,
+        for the edges whose rate came from ``error_rates`` rather than a
+        draw.  With the static calibration, the seed and the error
+        distribution, the log determines the two-qubit table; it keys the
+        fingerprint memo.
+        """
+        return self._registration_log
 
     @property
     def registered_gate_types(self) -> List[str]:
@@ -121,8 +225,13 @@ class Device:
         ``scale`` multiplies every error rate; the Figure 10a-c sweeps use
         it to model a continuous gate family whose calibration quality is
         1.5x/2x/3x worse.
+
+        This is the only way calibration changes after construction: it
+        writes the noise model's two-qubit table and appends to
+        :attr:`registration_log`.
         """
         provided = {tuple(sorted(edge)): rate for edge, rate in (error_rates or {}).items()}
+        rates: Dict[Edge, float] = {}
         for edge in self.topology.edges:
             if edge in provided:
                 rate = provided[edge]
@@ -130,8 +239,13 @@ class Device:
                 rate = self.two_qubit_error_distribution.sample(self._rng)
             else:
                 rate = self.two_qubit_error_distribution.expected()
-            self.noise_model.set_two_qubit_error_rate(type_key, edge, min(rate * scale, 1.0))
+            rates[edge] = float(min(rate * scale, 1.0))
+        self.noise_model._install_two_qubit_rates(type_key, rates)
         self._registered_types[type_key] = scale
+        measured = tuple((edge, rates[edge]) for edge in rates if edge in provided)
+        self._registration_log += ((type_key, scale, measured),)
+        # Plain ints and floats inside ``measured``: repr is exact.
+        self._log_key += (f"{_exact(type_key)}|{_exact(scale)}|{measured!r}",)
 
     def ensure_gate_types(self, type_keys: Iterable[str], scale: float = 1.0) -> None:
         """Register every gate type in ``type_keys`` that is not yet calibrated."""
@@ -151,40 +265,26 @@ class Device:
         The compilation cache (:mod:`repro.core.pipeline`) uses this as the
         device component of its keys, so cache entries are shared across
         runs exactly when the device state genuinely matches.
-        """
-        from repro.circuits.hashing import hash_mapping, hash_scalars
 
-        model = self.noise_model
-        distribution = self.two_qubit_error_distribution
-        return hash_scalars(
-            "device",
-            self.name,
-            self.seed,
-            self.noise_variation,
-            self.topology.num_qubits,
-            repr(sorted(tuple(edge) for edge in self.topology.edges)),
-            distribution.kind,
-            distribution.mean,
-            distribution.std,
-            distribution.minimum,
-            distribution.maximum,
-            hash_mapping(dict(sorted(self._registered_types.items()))),
-            hash_mapping(model.single_qubit_error),
-            hash_mapping(model.two_qubit_error),
-            hash_mapping(model.t1),
-            hash_mapping(model.t2),
-            hash_mapping(model.readout_error),
-            hash_mapping(model.gate_durations),
-            model.default_single_qubit_error,
-            model.default_two_qubit_error,
-            model.default_t1,
-            model.default_t2,
-            model.default_readout_error,
-            model.single_qubit_duration,
-            model.two_qubit_duration,
-            model.include_thermal_relaxation,
-            model.include_idle_noise,
-        )
+        Memoised process-wide on ``(static digest, registration log)`` (see
+        the module docstring); the value is always that of
+        :func:`_calibration_digest`.
+        """
+        if self._static_key is None:
+            return _calibration_digest(self)
+        key = (self._static_key, self._log_key)
+        with _CALIBRATION_MEMO_LOCK:
+            digest = _CALIBRATION_MEMO.get(key)
+            if digest is not None:
+                _CALIBRATION_MEMO.move_to_end(key)
+                return digest
+        digest = _calibration_digest(self)
+        with _CALIBRATION_MEMO_LOCK:
+            _CALIBRATION_MEMO[key] = digest
+            _CALIBRATION_MEMO.move_to_end(key)
+            while len(_CALIBRATION_MEMO) > CALIBRATION_MEMO_SIZE:
+                _CALIBRATION_MEMO.popitem(last=False)
+        return digest
 
     def gate_fidelity(self, type_key: str, edge: Sequence[int]) -> float:
         """Calibrated fidelity of ``type_key`` on ``edge`` (1 - error rate)."""
@@ -217,3 +317,38 @@ class Device:
             f"Device({self.name!r}, qubits={self.topology.num_qubits}, "
             f"gate_types={len(self._registered_types)})"
         )
+
+
+def _calibration_digest(device: Device) -> str:
+    """The calibration fingerprint formula (what the memo stores)."""
+    model = device.noise_model
+    distribution = device.two_qubit_error_distribution
+    return hash_scalars(
+        "device",
+        device.name,
+        device.seed,
+        device.noise_variation,
+        device.topology.num_qubits,
+        repr(sorted(tuple(edge) for edge in device.topology.edges)),
+        distribution.kind,
+        distribution.mean,
+        distribution.std,
+        distribution.minimum,
+        distribution.maximum,
+        hash_mapping(dict(sorted(device._registered_types.items()))),
+        hash_mapping(model.single_qubit_error),
+        hash_mapping(model.two_qubit_error),
+        hash_mapping(model.t1),
+        hash_mapping(model.t2),
+        hash_mapping(model.readout_error),
+        hash_mapping(model.gate_durations),
+        model.default_single_qubit_error,
+        model.default_two_qubit_error,
+        model.default_t1,
+        model.default_t2,
+        model.default_readout_error,
+        model.single_qubit_duration,
+        model.two_qubit_duration,
+        model.include_thermal_relaxation,
+        model.include_idle_noise,
+    )

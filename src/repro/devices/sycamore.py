@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.devices.device import Device, GateErrorDistribution
 from repro.devices.topology import grid_topology
-from repro.simulators.noise_model import NoiseModel
+from repro.simulators.noise_model import NoiseModel, uniform_qubit_table
 
 # Calibration constants from the quantum-supremacy experiment (Arute et al. 2019).
 SINGLE_QUBIT_ERROR = 0.0016
@@ -36,6 +36,7 @@ def sycamore_device(
     seed: Optional[int] = 54,
     mean_two_qubit_error: float = MEAN_TWO_QUBIT_ERROR,
     std_two_qubit_error: float = STD_TWO_QUBIT_ERROR,
+    readout_error: float = READOUT_ERROR,
 ) -> Device:
     """Build the Sycamore device model.
 
@@ -50,22 +51,24 @@ def sycamore_device(
         Parameters of the per-edge error-rate distribution.  The Figure 10f
         sweep rebuilds the device with smaller means (0.36% down to
         0.0225%).
+    readout_error:
+        Readout error of every qubit (and the model default).
     """
     topology = grid_topology(GRID_ROWS, GRID_COLS, name="sycamore")
+    qubits = tuple(topology.graph.nodes)
     noise_model = NoiseModel(
+        single_qubit_error=uniform_qubit_table(qubits, SINGLE_QUBIT_ERROR),
+        t1=uniform_qubit_table(qubits, T1_NS),
+        t2=uniform_qubit_table(qubits, T2_NS),
+        readout_error=uniform_qubit_table(qubits, readout_error),
         default_single_qubit_error=SINGLE_QUBIT_ERROR,
         default_two_qubit_error=mean_two_qubit_error,
         default_t1=T1_NS,
         default_t2=T2_NS,
-        default_readout_error=READOUT_ERROR,
+        default_readout_error=readout_error,
         single_qubit_duration=SINGLE_QUBIT_DURATION_NS,
         two_qubit_duration=TWO_QUBIT_DURATION_NS,
     )
-    for qubit in topology.graph.nodes:
-        noise_model.single_qubit_error[qubit] = SINGLE_QUBIT_ERROR
-        noise_model.t1[qubit] = T1_NS
-        noise_model.t2[qubit] = T2_NS
-        noise_model.readout_error[qubit] = READOUT_ERROR
 
     distribution = GateErrorDistribution(
         kind="normal",

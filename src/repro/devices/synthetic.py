@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro.devices.device import Device, GateErrorDistribution
 from repro.devices.topology import Topology, grid_topology, line_topology, ring_topology
-from repro.simulators.noise_model import NoiseModel
+from repro.simulators.noise_model import NoiseModel, uniform_qubit_table
 
 SUPPORTED_TOPOLOGIES = ("line", "ring", "grid")
 
@@ -30,8 +30,17 @@ def synthetic_noise_model(
     single_qubit_duration_ns: float = 25.0,
     two_qubit_duration_ns: float = 32.0,
 ) -> NoiseModel:
-    """Noise model with uniform calibration data over a topology."""
-    model = NoiseModel(
+    """Noise model with uniform calibration data over a topology.
+
+    The per-qubit tables are shared frozen tables
+    (:func:`~repro.simulators.noise_model.uniform_qubit_table`).
+    """
+    qubits = tuple(topology.graph.nodes)
+    return NoiseModel(
+        single_qubit_error=uniform_qubit_table(qubits, single_qubit_error),
+        t1=uniform_qubit_table(qubits, t1_ns),
+        t2=uniform_qubit_table(qubits, t2_ns),
+        readout_error=uniform_qubit_table(qubits, readout_error),
         default_single_qubit_error=single_qubit_error,
         default_two_qubit_error=two_qubit_error,
         default_t1=t1_ns,
@@ -40,12 +49,6 @@ def synthetic_noise_model(
         single_qubit_duration=single_qubit_duration_ns,
         two_qubit_duration=two_qubit_duration_ns,
     )
-    for qubit in topology.graph.nodes:
-        model.single_qubit_error[qubit] = single_qubit_error
-        model.t1[qubit] = t1_ns
-        model.t2[qubit] = t2_ns
-        model.readout_error[qubit] = readout_error
-    return model
 
 
 def synthetic_device(

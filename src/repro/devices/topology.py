@@ -18,19 +18,36 @@ Edge = Tuple[int, int]
 
 
 class Topology:
-    """Undirected device connectivity graph over integer-labelled qubits."""
+    """Undirected device connectivity graph over integer-labelled qubits.
 
-    def __init__(self, num_qubits: int, edges: Iterable[Sequence[int]], name: str = "topology"):
+    Qubits are ``0 .. num_qubits - 1`` minus ``missing_qubits`` (labels
+    keep their gaps, matching vendor calibration data).  The graph is
+    frozen (``networkx.freeze``) once built, so the sorted edge list and
+    the distance table are computed once and stay valid.
+    """
+
+    def __init__(
+        self,
+        num_qubits: int,
+        edges: Iterable[Sequence[int]],
+        name: str = "topology",
+        missing_qubits: Iterable[int] = (),
+    ):
         self.name = name
-        self.graph: nx.Graph = nx.Graph()
-        self.graph.add_nodes_from(range(int(num_qubits)))
+        missing = {int(q) for q in missing_qubits}
+        graph = nx.Graph()
+        graph.add_nodes_from(q for q in range(int(num_qubits)) if q not in missing)
         for a, b in edges:
             a, b = int(a), int(b)
             if a == b:
                 raise ValueError("self-loop edges are not allowed")
             if a >= num_qubits or b >= num_qubits or a < 0 or b < 0:
                 raise ValueError(f"edge ({a}, {b}) outside qubit range")
-            self.graph.add_edge(*sorted((a, b)))
+            if a in missing or b in missing:
+                raise ValueError(f"edge ({a}, {b}) touches a missing qubit")
+            graph.add_edge(*sorted((a, b)))
+        self.graph: nx.Graph = nx.freeze(graph)
+        self._edges: Tuple[Edge, ...] = tuple(sorted(tuple(sorted(edge)) for edge in graph.edges))
         self._distances: Optional[Dict[int, Dict[int, int]]] = None
 
     # -- basic queries --------------------------------------------------------
@@ -42,8 +59,8 @@ class Topology:
 
     @property
     def edges(self) -> List[Edge]:
-        """Sorted list of coupler edges."""
-        return sorted(tuple(sorted(edge)) for edge in self.graph.edges)
+        """Sorted list of coupler edges (a new list per call; the graph is frozen)."""
+        return list(self._edges)
 
     def degree(self, qubit: int) -> int:
         """Number of couplers attached to ``qubit``."""
@@ -181,9 +198,6 @@ def octagon_chain_topology(
             edges.append((base + 2, next_base + 5))
     missing = set(int(q) for q in missing_qubits)
     kept_edges = [e for e in edges if e[0] not in missing and e[1] not in missing]
-    topology = Topology(total, kept_edges, name=name)
-    if missing:
-        topology.graph.remove_nodes_from(missing)
-        # Relabelling is intentionally *not* done: Aspen qubit ids keep gaps
-        # for non-functional qubits, matching vendor calibration data.
-    return topology
+    # Relabelling is intentionally *not* done: Aspen qubit ids keep gaps
+    # for non-functional qubits, matching vendor calibration data.
+    return Topology(total, kept_edges, name=name, missing_qubits=missing)

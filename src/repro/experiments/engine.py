@@ -93,7 +93,7 @@ from repro.core.pipeline import (
     compile_circuit_cached,
     global_compilation_cache,
 )
-from repro.devices.device import Device
+from repro.devices.device import Device, clear_calibration_memo
 from repro.experiments.runner import (
     InstructionSetResult,
     MetricFunction,
@@ -185,7 +185,8 @@ def clear_experiment_caches(include_disk: bool = False) -> None:
     """Reset every in-process experiment cache.
 
     Covers the ideal-distribution cache, the global compilation cache,
-    the autotuner verdict cache, the noise-program cache and the
+    the autotuner verdict cache, the noise-program cache (with the
+    channel memos), the calibration-fingerprint memo and the
     simulation-result memory cache.  Used by determinism tests and
     benchmarks that need a guaranteed cold start; production callers
     normally never need it.  ``include_disk`` additionally clears the
@@ -204,6 +205,7 @@ def clear_experiment_caches(include_disk: bool = False) -> None:
         _SIM_CACHE_STATS["hits"] = 0
         _SIM_CACHE_STATS["misses"] = 0
     clear_noise_program_cache()
+    clear_calibration_memo()
     global_compilation_cache().clear()
     global_tuner_cache().clear()
     if include_disk:
@@ -770,10 +772,17 @@ def store_simulation(
     that for all further reads.  Only call for *computed* vectors --
     cache hits are already stored, and re-writing them would break the CI
     warm-start "no file changed" check.
+
+    Disk first, then memory: a concurrent :func:`fetch_cached_simulation`
+    that sees the memory entry then also finds the disk entry, instead of
+    backfilling a second write of the same vector.  A failed disk write
+    (full disk, injected fault) still leaves the vector in memory.
     """
-    vector = _simulation_cache_put(prepared.cache_key, vector)
-    if sim_disk is not None:
-        sim_disk.put_simulation(prepared.cache_key, vector)
+    try:
+        if sim_disk is not None:
+            sim_disk.put_simulation(prepared.cache_key, vector)
+    finally:
+        vector = _simulation_cache_put(prepared.cache_key, vector)
     return vector
 
 

@@ -25,7 +25,8 @@ Execution model per request (:meth:`StudyService.run_study_spec`):
    catalogues and application suites are shared across requests (so are
    the suite circuits' memoised digests); the device is fresh per
    request -- determinism requires each study to sample calibration
-   through its own RNG in canonical order.
+   through its own RNG in canonical order -- but its calibration
+   fingerprints are process-wide memo hits (``docs/service.md``).
 2. *Prepare* every job serially in canonical order.  Compiles route
    through :meth:`~repro.service.dedup.InFlightTable.coalesce`, so an
    identical compile already running in another request is awaited and

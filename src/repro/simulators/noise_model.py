@@ -12,15 +12,25 @@ Channels come from memoised constructors (the depolarizing constructor
 of :mod:`repro.simulators.noise` and :func:`relaxation_channel` below),
 so every gate with the same calibrated error rate (or the same duration
 and T1/T2) shares one channel object.
+
+A model becomes read-only when a :class:`~repro.devices.device.Device`
+binds it: its tables turn into :class:`~repro.circuits.hashing.FrozenTable`
+instances and every attribute write raises.  From then on the device's
+gate-type registration is the only writer (it installs a new two-qubit
+table per registered type), which is what lets the device memoise its
+calibration fingerprint.  Device factories build the per-qubit tables
+with :func:`uniform_qubit_table`, so devices built with equal arguments
+share one frozen table and its memoised digest.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import FrozenInstanceError, dataclass, field, replace
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.circuits.circuit import Operation
+from repro.circuits.hashing import FrozenTable
 from repro.simulators.noise import (
     CHANNEL_MEMO_SIZE,
     KrausChannel,
@@ -46,6 +56,27 @@ CHANNEL_MEMOS = (depolarizing_channel, relaxation_channel)
 noise-program cache (:func:`repro.simulators.noise_program.clear_noise_program_cache`)."""
 
 
+_FLAT_TABLES = ("single_qubit_error", "t1", "t2", "readout_error", "gate_durations")
+"""Flat calibration tables; with the nested ``two_qubit_error`` table they
+are every table a device freezes when it binds a model."""
+
+
+def uniform_qubit_table(qubits: Iterable[int], value: float) -> FrozenTable:
+    """``{qubit: value}`` over ``qubits`` as a frozen table.
+
+    Memoised on the exact arguments (``2`` and ``2.0``, or ``0.0`` and
+    ``-0.0``, hash differently and get different tables), so every device
+    a factory builds with the same arguments shares one table and its
+    digest.
+    """
+    return _uniform_qubit_table(tuple(qubits), value, f"{type(value).__qualname__}:{value!r}")
+
+
+@functools.lru_cache(maxsize=256)
+def _uniform_qubit_table(qubits: Tuple[int, ...], value: float, exact: str) -> FrozenTable:
+    return FrozenTable(dict.fromkeys(qubits, value))
+
+
 def _canonical_edge(pair: Sequence[int]) -> Edge:
     a, b = int(pair[0]), int(pair[1])
     return (a, b) if a <= b else (b, a)
@@ -57,6 +88,13 @@ class NoiseModel:
 
     All error rates are average gate *infidelities* (``1 - fidelity``).
     Durations are in nanoseconds; T1/T2 in the same unit.
+
+    A model is writable until a device binds it.  Binding freezes the
+    tables, the scalar defaults and the flags: attribute writes raise
+    ``FrozenInstanceError`` and table writes ``TypeError``.  After that
+    the device's gate-type registration is the only mutator.  Copies
+    made with ``dataclasses.replace`` (:meth:`scaled_two_qubit`) are
+    unbound and share the frozen tables they do not replace.
     """
 
     single_qubit_error: Dict[int, float] = field(default_factory=dict)
@@ -74,6 +112,58 @@ class NoiseModel:
     gate_durations: Dict[str, float] = field(default_factory=dict)
     include_thermal_relaxation: bool = True
     include_idle_noise: bool = True
+    _bound: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if self.__dict__.get("_bound", False):
+            raise FrozenInstanceError(
+                f"cannot assign NoiseModel.{name}: the model is bound to a device"
+            )
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        if self.__dict__.get("_bound", False):
+            raise FrozenInstanceError(
+                f"cannot delete NoiseModel.{name}: the model is bound to a device"
+            )
+        object.__delattr__(self, name)
+
+    # -- device binding --------------------------------------------------------
+
+    def _bind(self) -> None:
+        """Freeze every table and attribute (called by ``Device.__init__``)."""
+        if self._bound:
+            raise ValueError("this noise model is already bound to a device")
+        for name in _FLAT_TABLES:
+            table = getattr(self, name)
+            if not isinstance(table, FrozenTable):
+                object.__setattr__(self, name, FrozenTable(table))
+        object.__setattr__(
+            self,
+            "two_qubit_error",
+            FrozenTable(
+                {
+                    edge: per_edge if isinstance(per_edge, FrozenTable) else FrozenTable(per_edge)
+                    for edge, per_edge in self.two_qubit_error.items()
+                }
+            ),
+        )
+        object.__setattr__(self, "_bound", True)
+
+    def _install_two_qubit_rates(self, type_key: str, rates: Mapping[Edge, float]) -> None:
+        """Set ``type_key``'s rate on every edge of ``rates`` (the registration writer).
+
+        Copy-on-write: builds a new frozen table and swaps it in, so a
+        table anyone already holds never changes.  Only
+        ``Device.register_gate_type`` calls this.
+        """
+        table = dict(self.two_qubit_error)
+        for pair, rate in rates.items():
+            edge = _canonical_edge(pair)
+            per_edge = dict(table.get(edge, ()))
+            per_edge[type_key] = float(rate)
+            table[edge] = FrozenTable(per_edge)
+        object.__setattr__(self, "two_qubit_error", FrozenTable(table))
 
     # -- calibration lookups -------------------------------------------------
 
@@ -94,7 +184,15 @@ class NoiseModel:
     def set_two_qubit_error_rate(
         self, type_key: str, pair: Sequence[int], error_rate: float
     ) -> None:
-        """Register the error rate of a gate type on an edge."""
+        """Register the error rate of a gate type on an edge.
+
+        Only for models no device has bound yet; a bound model changes
+        only through ``Device.register_gate_type``.
+        """
+        if self._bound:
+            raise TypeError(
+                "a bound noise model changes only through Device.register_gate_type"
+            )
         edge = _canonical_edge(pair)
         self.two_qubit_error.setdefault(edge, {})[type_key] = float(error_rate)
 

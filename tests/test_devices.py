@@ -1,5 +1,7 @@
 """Tests for the generic Device model and the Aspen-8 / Sycamore instances."""
 
+from typing import Optional
+
 import numpy as np
 import pytest
 
@@ -45,11 +47,13 @@ class TestGateErrorDistribution:
 
 
 class TestDevice:
-    def build_device(self, noise_variation: bool = True) -> Device:
+    def build_device(
+        self, noise_variation: bool = True, noise_model: Optional[NoiseModel] = None
+    ) -> Device:
         return Device(
             name="toy",
             topology=line_topology(4),
-            noise_model=NoiseModel(),
+            noise_model=noise_model if noise_model is not None else NoiseModel(),
             two_qubit_error_distribution=GateErrorDistribution(
                 kind="normal", mean=0.01, std=0.002, minimum=0.001, maximum=0.05
             ),
@@ -101,8 +105,7 @@ class TestDevice:
         assert device.average_two_qubit_error(["cz"]) == pytest.approx(0.01)
 
     def test_readout_errors_for(self):
-        device = self.build_device()
-        device.noise_model.readout_error[2] = 0.07
+        device = self.build_device(noise_model=NoiseModel(readout_error={2: 0.07}))
         assert device.readout_errors_for([2, 3]) == [0.07, device.noise_model.default_readout_error]
 
 

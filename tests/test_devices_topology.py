@@ -94,3 +94,42 @@ class TestOctagonChain:
         topology = octagon_chain_topology(4, 8)
         for offset in range(8):
             assert topology.are_connected(offset, (offset + 1) % 8)
+
+
+class TestFrozenTopology:
+    """Topologies are frozen once built, so the edge list and distances stay valid."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: line_topology(5),
+            lambda: ring_topology(6),
+            lambda: grid_topology(3, 4),
+            lambda: octagon_chain_topology(4, 8, missing_qubits=(17, 27)),
+            lambda: Topology(4, [(1, 0), (2, 1), (3, 2)]),
+        ],
+        ids=["line", "ring", "grid", "octagon-missing", "explicit"],
+    )
+    def test_writes_raise_and_edges_stay(self, build):
+        topology = build()
+        expected = sorted(tuple(sorted(edge)) for edge in topology.graph.edges)
+        assert nx.is_frozen(topology.graph)
+        assert topology.edges == expected
+        mutations = [
+            lambda graph: graph.add_edge(0, 2),
+            lambda graph: graph.add_node(99),
+            lambda graph: graph.remove_edge(*expected[0]),
+            lambda graph: graph.remove_node(0),
+            lambda graph: graph.add_edges_from([(0, 3)]),
+        ]
+        for mutate in mutations:
+            with pytest.raises(nx.NetworkXError):
+                mutate(topology.graph)
+        topology.edges.append((98, 99))  # callers get their own list
+        assert topology.edges == expected
+
+    def test_missing_qubits_dropped_before_freezing(self):
+        topology = octagon_chain_topology(4, 8, missing_qubits=(17, 27))
+        assert sorted(topology.graph.nodes) == [q for q in range(32) if q not in (17, 27)]
+        with pytest.raises(ValueError):
+            Topology(4, [(0, 1), (1, 2)], missing_qubits=(2,))

@@ -50,11 +50,11 @@ class TestSimulateCompiled:
 
     def test_measured_distribution_close_to_ideal_at_low_noise(self, shared_decomposer):
         device = sycamore_device(
-            noise_variation=False, mean_two_qubit_error=1e-4, std_two_qubit_error=0.0
+            noise_variation=False,
+            mean_two_qubit_error=1e-4,
+            std_two_qubit_error=0.0,
+            readout_error=0.0,
         )
-        device.noise_model.default_readout_error = 0.0
-        for qubit in device.noise_model.readout_error:
-            device.noise_model.readout_error[qubit] = 0.0
         circuit = qv_circuit(3, rng=np.random.default_rng(2))
         compiled = compile_circuit(
             circuit, device, single_gate_set("S3"), decomposer=shared_decomposer

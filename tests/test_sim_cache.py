@@ -9,6 +9,9 @@ Contracts under test:
   invocations and bit-identical rows -- and the dedicated ``sim_*``
   counters record the traffic;
 * corrupt persisted vectors degrade to misses, never errors;
+* a fetch that lands between a store's two tier writes does not write
+  the vector to disk a second time, and a failed disk write still
+  leaves the vector in memory;
 * determinism holds now that worker pools receive immutable noise
   programs instead of per-job ``Device`` deep copies (the regression
   guard for removing the deepcopy); a program whose gates share memoised
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,11 +34,15 @@ from repro.core.instruction_sets import google_instruction_set, single_gate_set
 from repro.devices.synthetic import synthetic_device
 from repro.experiments.engine import (
     clear_experiment_caches,
+    fetch_cached_simulation,
+    peek_simulation_memory,
     run_study,
     simulation_cache_stats,
+    store_simulation,
 )
 from repro.experiments.runner import SimulationOptions
 from repro.metrics.hop import heavy_output_probability
+from repro.resilience import configure_fault_plan, reset_fault_plan_configuration
 from repro.simulators.backend import (
     backend_invocation_counts,
     resolve_backend,
@@ -181,6 +189,58 @@ class TestDiskTier:
         recovered = run_study(**kwargs, workers=1, cache_dir=cache_dir)
         assert sum(backend_invocation_counts().values()) > 0  # re-simulated
         assert _rows(recovered) == _rows(cold)
+
+
+class TestStoreFetchRace:
+    """``store_simulation`` racing ``fetch_cached_simulation``, replayed in order.
+
+    The racing fetch runs inside the disk tier's ``put_simulation``, just
+    before and just after the real write, i.e. at every point between the
+    store's two tier writes.  When the store wrote memory first, the fetch
+    before the disk write saw a memory hit with no disk entry and
+    backfilled it, so the vector was written twice.
+    """
+
+    def _racing_disk(self, monkeypatch, tmp_path, prepared):
+        disk = disk_cache_for(str(tmp_path / "cache"))
+        real_put = disk.put_simulation
+        fetched = []
+
+        def put_with_racing_fetch(key, vector):
+            monkeypatch.setattr(disk, "put_simulation", real_put)  # the race fires once
+            fetched.append(fetch_cached_simulation(prepared, disk))
+            written = real_put(key, vector)
+            fetched.append(fetch_cached_simulation(prepared, disk))
+            return written
+
+        monkeypatch.setattr(disk, "put_simulation", put_with_racing_fetch)
+        return disk, fetched
+
+    def test_racing_fetch_does_not_write_twice(self, monkeypatch, tmp_path):
+        clear_experiment_caches()
+        prepared = SimpleNamespace(cache_key=("store-fetch-race", 1))
+        disk, fetched = self._racing_disk(monkeypatch, tmp_path, prepared)
+        stored = store_simulation(prepared, np.array([0.25, 0.75]), disk)
+        assert len(fetched) == 2
+        assert disk.sim_writes == 1
+        cached, source = fetch_cached_simulation(prepared, disk)
+        assert source == "memory"
+        assert np.array_equal(cached, stored)
+        assert disk.sim_writes == 1
+        assert disk.stats()["sim_entries"] == 1
+
+    def test_failed_disk_write_still_reaches_memory(self, tmp_path):
+        clear_experiment_caches()
+        disk = disk_cache_for(str(tmp_path / "cache"))
+        prepared = SimpleNamespace(cache_key=("store-enospc", 1))
+        configure_fault_plan("disk.write:enospc@1")
+        try:
+            stored = store_simulation(prepared, np.array([0.5, 0.5]), disk)
+        finally:
+            reset_fault_plan_configuration()
+        assert disk.sim_writes == 0
+        assert peek_simulation_memory(prepared.cache_key) is stored
+        assert not stored.flags.writeable
 
 
 class TestNoDeviceCopyDeterminism:
