@@ -1,0 +1,172 @@
+"""Closed-form sub-exact layer counts against the all-counts reference loop.
+
+Replays every NuOp query of the cold design study: the eight benchmark
+specs of ``tests/golden/design_study_compiled.json`` are compiled once
+with a recording decomposer, which collects each
+``decompose_approximate`` call (the study's distinct targets x its
+distinct gate types and families).  The calls are then answered twice
+from a cold profile cache:
+
+* **closed form** -- ``NuOpDecomposer.decompose_approximate`` as shipped;
+* **reference** -- the profile loop that optimises every layer count on
+  one shared restart generator (a test-local copy), then Eq. 2.
+
+Recorded in the ``BENCH_17.json`` artifact when run with
+``REPRO_BENCH_JSON=BENCH_17.json``: calls, distinct profiles, objective
+evaluations and wall time of both paths, and how many layer counts the
+shipped profiles optimised (directly, or after a query selected them)
+and answered in closed form.  The asserts check equality only:
+every decomposition is byte-identical.  Evaluation counts and wall times
+are recorded, never asserted.
+"""
+
+from __future__ import annotations
+
+import json
+import time
+from pathlib import Path
+
+import numpy as np
+
+from repro.applications.registry import build_suite
+from repro.core.decomposer import LayerSolution, NuOpDecomposer, clear_profile_cache
+from repro.core.instruction_sets import google_catalogue, rigetti_catalogue
+from repro.core.pipeline import compile_circuit
+from repro.core.templates import TemplateSpec
+from repro.devices.synthetic import synthetic_device
+
+GOLDEN = (
+    Path(__file__).resolve().parents[1] / "tests" / "golden" / "design_study_compiled.json"
+)
+
+
+def reference_profile(decomposer, target, gate, family, limit):
+    """The profile loop without closed forms: every count optimised in turn."""
+    rng = np.random.default_rng(decomposer.seed)
+    profile = []
+    for num_layers in range(limit + 1):
+        template = decomposer._make_template(num_layers, gate, family)
+        fidelity, params, _ = decomposer._optimise_template(target, template, rng)
+        profile.append(LayerSolution(num_layers, fidelity, params))
+        if fidelity >= decomposer.exact_threshold:
+            break
+    return profile
+
+
+def reference_approximate(profile, gate_fidelity, single_qubit_fidelity):
+    """Eq. 2 over a fully optimised profile: ``(solution, F_h)``."""
+    best, best_overall, best_hardware = None, -np.inf, 1.0
+    for solution in profile:
+        hardware = gate_fidelity**solution.num_layers
+        hardware *= single_qubit_fidelity ** (2 * (solution.num_layers + 1))
+        overall = solution.fidelity * hardware
+        if overall > best_overall + 1e-12:
+            best, best_overall, best_hardware = solution, overall, hardware
+    return best, best_hardware
+
+
+def _record_study_calls(monkeypatch):
+    """Every ``decompose_approximate`` call of one cold design-study compile."""
+    calls = []
+    original = NuOpDecomposer.decompose_approximate
+
+    def recording(self, target, gate=None, family=None, gate_fidelity=1.0,
+                  single_qubit_fidelity=1.0, max_layers=None, label=None):
+        calls.append((np.array(target), gate, family, gate_fidelity,
+                      single_qubit_fidelity, max_layers, label))
+        return original(self, target, gate, family, gate_fidelity,
+                        single_qubit_fidelity, max_layers, label)
+
+    catalogues = {"google": google_catalogue(), "rigetti": rigetti_catalogue()}
+    with monkeypatch.context() as patch:
+        patch.setattr(NuOpDecomposer, "decompose_approximate", recording)
+        clear_profile_cache()
+        for spec in json.loads(GOLDEN.read_text())["specs"]:
+            qubits = int(spec["num_qubits"])
+            circuits = build_suite(spec["application"], qubits, 1, int(spec["seed"]))
+            device = synthetic_device(max(qubits, 2), spec["topology"], seed=spec["device_seed"])
+            for name in spec["sets"]:
+                compile_circuit(circuits[0], device, catalogues[spec["catalogue"]][name])
+    return calls
+
+
+def test_bench_closed_form_profile(monkeypatch, bench_json_record):
+    calls = _record_study_calls(monkeypatch)
+    decomposer = NuOpDecomposer()
+    evaluations = [0]
+    objective = TemplateSpec.objective_with_gradient
+
+    def counted(self, flat_params, target):
+        evaluations[0] += 1
+        return objective(self, flat_params, target)
+
+    monkeypatch.setattr(TemplateSpec, "objective_with_gradient", counted)
+
+    clear_profile_cache()
+    started = time.perf_counter()
+    shipped = [
+        decomposer.decompose_approximate(target, gate, family, fh, f1q, layers, label)
+        for target, gate, family, fh, f1q, layers, label in calls
+    ]
+    shipped_s = time.perf_counter() - started
+    shipped_evals = evaluations[0]
+
+    def profile_key(target, gate, family, layers):
+        gate_key = gate.type_key if gate is not None else f"family:{family}"
+        return (decomposer._target_cache_key(target), gate_key, layers)
+
+    # The shipped profiles as the queries left them (cache hits, no evals).
+    optimised = skipped = 0
+    seen = set()
+    for target, gate, family, _, _, layers, _ in calls:
+        key = profile_key(target, gate, family, layers)
+        if key not in seen:
+            seen.add(key)
+            for solution in decomposer.fidelity_profile(target, gate, family, layers):
+                optimised += solution.parameters is not None
+                skipped += solution.parameters is None
+    clear_profile_cache()
+
+    evaluations[0] = 0
+    profiles = {}
+    expected = []
+    started = time.perf_counter()
+    for target, gate, family, fh, f1q, layers, label in calls:
+        key = profile_key(target, gate, family, layers)
+        if key not in profiles:
+            limit = decomposer.max_layers if layers is None else layers
+            profiles[key] = reference_profile(decomposer, target, gate, family, limit)
+        chosen, hardware = reference_approximate(profiles[key], fh, f1q)
+        expected.append(
+            decomposer._build_decomposition(target, chosen, gate, family, hardware, label)
+        )
+    reference_s = time.perf_counter() - started
+    reference_evals = evaluations[0]
+
+    for got, want in zip(shipped, expected):
+        assert got.num_layers == want.num_layers
+        assert got.decomposition_fidelity == want.decomposition_fidelity
+        assert got.hardware_fidelity == want.hardware_fidelity
+        assert got.single_qubit_params.tobytes() == want.single_qubit_params.tobytes()
+        for mine, theirs in zip(got.hardware_gates, want.hardware_gates):
+            assert mine.matrix.tobytes() == theirs.matrix.tobytes()
+
+    targets = {decomposer._target_cache_key(call[0]) for call in calls}
+    print(
+        f"\nclosed-form profile: {len(calls)} calls, {len(profiles)} profiles "
+        f"({len(targets)} targets); evals {reference_evals} -> {shipped_evals}, "
+        f"wall {reference_s:.2f}s -> {shipped_s:.2f}s; "
+        f"{optimised} counts optimised, {skipped} answered in closed form"
+    )
+    bench_json_record(
+        calls=len(calls),
+        profiles=len(profiles),
+        targets=len(targets),
+        reference_evals=reference_evals,
+        closed_form_evals=shipped_evals,
+        reference_s=round(reference_s, 4),
+        closed_form_s=round(shipped_s, 4),
+        reference_counts=sum(len(profile) for profile in profiles.values()),
+        optimised_counts=optimised,
+        closed_form_counts=skipped,
+    )

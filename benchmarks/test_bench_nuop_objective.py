@@ -97,7 +97,7 @@ def test_bench_nuop_objective(monkeypatch, bench_json_record):
             us_per_eval = (time.perf_counter() - started) / TIMED_EVALS * 1e6
 
             evaluations[0] = 0
-            fidelity, _ = decomposer._optimise_template(
+            fidelity, _, _ = decomposer._optimise_template(
                 target, template, np.random.default_rng(decomposer.seed)
             )
             per_template[f"{family}_L{num_layers}"] = {

@@ -61,11 +61,6 @@ FINGERPRINT_ALLOWLIST: Dict[str, str] = {
         "lazily derived trajectory plan, fully determined by the "
         "fingerprinted moments"
     ),
-    "TabulationConfig.build_on_miss": (
-        "controls only *when* a decomposition table is built (inline vs "
-        "pre-built by 'repro tabulate'), never its content; folding it in "
-        "would split identical tables across two cache keys"
-    ),
 }
 """Fields deliberately excluded from their dataclass's ``fingerprint``.
 

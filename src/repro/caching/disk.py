@@ -70,14 +70,6 @@ distribution vectors keyed by noise-program content, backend identity and
 simulation options -- see
 :func:`repro.experiments.engine.simulation_cache_key`."""
 
-DECOMP_KIND = "decomp"
-"""Namespace (subtree name) of the decomposition-tabulation tier:
-Weyl-chamber lookup tables keyed by gate-type fingerprint, grid
-resolution and decomposer knobs -- see
-:mod:`repro.compiler.tabulation`.  Own ``decomp_*`` counters, so
-``repro cache stats`` reports table traffic separately from compile and
-simulate traffic."""
-
 MAX_BYTES_ENV_VAR = "REPRO_CACHE_MAX_BYTES"
 """Size cap (bytes) for the disk tier; entries are evicted LRU-by-mtime
 once the footprint exceeds it.  Unset/empty means unbounded."""
@@ -128,11 +120,6 @@ class DiskCompilationCache:
         self.sim_hits = 0
         self.sim_misses = 0
         self.sim_writes = 0
-        # Same split for the decomposition-tabulation tier
-        # (get_decomposition_table/put_decomposition_table).
-        self.decomp_hits = 0
-        self.decomp_misses = 0
-        self.decomp_writes = 0
 
     @property
     def max_bytes(self) -> Optional[int]:
@@ -187,8 +174,7 @@ class DiskCompilationCache:
         """Load + validate one payload file; any failure is a recorded miss.
 
         ``family`` selects the counter group (``"compile"`` for compiled
-        circuits and auxiliary blobs, ``"sim"`` for simulation results,
-        ``"decomp"`` for decomposition-tabulation tables).
+        circuits and auxiliary blobs, ``"sim"`` for simulation results).
         """
         try:
             # Inside the try so an injected IO fault (``REPRO_FAULT_PLAN``,
@@ -251,8 +237,6 @@ class DiskCompilationCache:
         with self._lock:
             if family == "sim":
                 self.sim_writes += 1
-            elif family == "decomp":
-                self.decomp_writes += 1
             else:
                 self.writes += 1
         self._evict_over_cap(protect=path)
@@ -378,49 +362,6 @@ class DiskCompilationCache:
             self._blob_path(SIMULATION_KIND, cache_key_digest(key)), payload, family="sim"
         )
 
-    # -- decomposition-tabulation tier ----------------------------------------
-
-    def get_decomposition_table(self, key: Tuple) -> Optional[object]:
-        """Load a persisted Weyl-chamber lookup table, or ``None`` on a miss.
-
-        The decomposition-tabulation tier shares the versioned root, the
-        content-addressed naming, the validation rules and the eviction
-        sweep of compiled entries -- it is the ``<version>/decomp/``
-        namespace with its own hit/miss/write counters.  Keys are built
-        by :meth:`repro.compiler.tabulation.TableSpec.cache_key`
-        (gate-type fingerprint x grid resolution x decomposer knobs).
-        """
-        payload = self._read_payload(
-            self._blob_path(DECOMP_KIND, cache_key_digest(key)), key, family="decomp"
-        )
-        if payload is None:
-            return None
-        return payload.get("table")
-
-    def has_decomposition_table(self, key: Tuple) -> bool:
-        """True when an entry file exists for ``key`` (no counters, no read).
-
-        Existence probe mirroring :meth:`has_simulation`: lets callers
-        decide whether to persist without distorting the hit/miss
-        statistics.  A present-but-corrupt file counts as present; the
-        next real lookup deletes it and the table is re-persisted then.
-        """
-        try:
-            return self._blob_path(DECOMP_KIND, cache_key_digest(key)).is_file()
-        except OSError:
-            return False
-
-    def put_decomposition_table(self, key: Tuple, table: object) -> bool:
-        """Persist a Weyl-chamber lookup table; False when the write failed."""
-        payload = {
-            "schema": DISK_CACHE_SCHEMA_VERSION,
-            "key": list(key),
-            "table": table,
-        }
-        return self._write_payload(
-            self._blob_path(DECOMP_KIND, cache_key_digest(key)), payload, family="decomp"
-        )
-
     def clear(self) -> int:
         """Delete every entry of *every* schema version; returns the count.
 
@@ -507,22 +448,17 @@ class DiskCompilationCache:
     def _footprint(self) -> Tuple[int, int]:
         """``(entry_count, total_bytes)`` of compiled entries + auxiliary blobs.
 
-        Excludes the ``sim`` and ``decomp`` namespaces, which are reported
-        separately (``sim_entries``/``sim_bytes`` and
-        ``decomp_entries``/``decomp_bytes`` in :meth:`stats`) so
-        ``entries`` keeps meaning "how many compilation-side results are
-        persisted".
+        Excludes the ``sim`` namespace, which is reported separately
+        (``sim_entries``/``sim_bytes`` in :meth:`stats`) so ``entries``
+        keeps meaning "how many compilation-side results are persisted".
         """
         if not self.version_dir.is_dir():
             return 0, 0
-        excluded = (
-            self.version_dir / SIMULATION_KIND,
-            self.version_dir / DECOMP_KIND,
-        )
+        excluded = self.version_dir / SIMULATION_KIND
         count = 0
         total = 0
         for entry in self.version_dir.rglob("*.pkl"):
-            if any(parent in entry.parents for parent in excluded):
+            if excluded in entry.parents:
                 continue
             count += 1
             try:
@@ -585,14 +521,8 @@ class DiskCompilationCache:
                 self.sim_misses,
                 self.sim_writes,
             )
-            decomp_hits, decomp_misses, decomp_writes = (
-                self.decomp_hits,
-                self.decomp_misses,
-                self.decomp_writes,
-            )
         entries, size_bytes = self._footprint()
         sim_entries, sim_bytes = self._kind_footprint(SIMULATION_KIND)
-        decomp_entries, decomp_bytes = self._kind_footprint(DECOMP_KIND)
         return {
             "cache_dir": str(self.root),
             "schema_version": DISK_CACHE_SCHEMA_VERSION,
@@ -605,11 +535,6 @@ class DiskCompilationCache:
             "sim_writes": sim_writes,
             "sim_entries": sim_entries,
             "sim_bytes": sim_bytes,
-            "decomp_hits": decomp_hits,
-            "decomp_misses": decomp_misses,
-            "decomp_writes": decomp_writes,
-            "decomp_entries": decomp_entries,
-            "decomp_bytes": decomp_bytes,
             "entries": entries,
             "size_bytes": size_bytes,
             "orphan_bytes": self._orphan_bytes(),
@@ -625,11 +550,6 @@ class DiskCompilationCache:
                     self.sim_hits += 1
                 else:
                     self.sim_misses += 1
-            elif family == "decomp":
-                if hit:
-                    self.decomp_hits += 1
-                else:
-                    self.decomp_misses += 1
             elif hit:
                 self.hits += 1
             else:

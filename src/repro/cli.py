@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.visualization import render_figure8, render_figure9, render_figure10, render_figure11a
 from repro.visualization.text import render_table
@@ -263,7 +263,6 @@ def _in_process_cache_report() -> str:
     the previously invisible ideal-distribution cache inspectable at all.
     """
     from repro.compiler.autotune import global_tuner_cache
-    from repro.compiler.tabulation import table_cache_stats
     from repro.core.decomposer import profile_cache_stats
     from repro.core.pipeline import global_compilation_cache
     from repro.experiments.engine import ideal_cache_stats, simulation_cache_stats
@@ -278,7 +277,6 @@ def _in_process_cache_report() -> str:
         "noise programs": noise_program_cache_stats(),
         "autotuner verdicts": global_tuner_cache().stats(),
         "decomposer profiles": profile_cache_stats(),
-        "decomposition tables (memory)": table_cache_stats(),
         "simulation results (memory)": simulation_cache_stats(),
     }
     for name, stats in sorted(array_backend_stats().items()):
@@ -326,113 +324,6 @@ def _cmd_cache(args: argparse.Namespace) -> str:
         + "\n\n"
         + _in_process_cache_report()
     )
-
-
-def _cmd_tabulate(args: argparse.Namespace) -> str:
-    """Build or inspect Weyl-chamber decomposition tables.
-
-    Pre-building the tables (one per distinct gate type or continuous
-    family, per decomposer configuration) lets serve workers and
-    experiment runs with ``REPRO_DECOMP_TABULATION`` answer every 2q
-    synthesis query from the disk-cached tables instead of paying the
-    cold grid optimisation inline.
-    """
-    from repro.circuits.hashing import gate_fingerprint
-    from repro.compiler.tabulation import (
-        TabulationConfig,
-        _TABLE_COUNTERS,
-        default_grid_resolution,
-        table_cache_stats,
-        table_for,
-    )
-    from repro.core.decomposer import NuOpDecomposer
-    from repro.core.instruction_sets import table2_catalogue
-
-    if args.stats:
-        cache = _resolve_cli_disk_cache(args)
-        sections = {"decomposition tables (memory)": table_cache_stats()}
-        if cache is not None:
-            sections["decomposition tables (disk)"] = {
-                key: value
-                for key, value in cache.stats().items()
-                if key.startswith("decomp")
-            }
-        rows = [
-            {"cache": name, "field": key, "value": value}
-            for name, stats in sections.items()
-            for key, value in stats.items()
-        ]
-        return "Decomposition tabulation caches\n" + render_table(rows)
-
-    resolution = (
-        args.resolution if args.resolution is not None else default_grid_resolution()
-    )
-    config = TabulationConfig(resolution=resolution)
-    decomposer = NuOpDecomposer(max_layers=args.max_layers, tabulation=config)
-
-    catalogue = table2_catalogue()
-    if args.sets:
-        unknown = [name for name in args.sets if name not in catalogue]
-        if unknown:
-            raise SystemExit(
-                f"repro tabulate: unknown instruction set(s) {', '.join(unknown)} "
-                f"(choose from {', '.join(sorted(catalogue))})"
-            )
-        catalogue = {name: catalogue[name] for name in args.sets}
-
-    # One table per *distinct* target: gate types are deduplicated by
-    # content fingerprint (S3 appears in most Google and Rigetti sets but
-    # tabulates once), continuous sets by family name.
-    work: List[Tuple[str, object, Optional[str]]] = []
-    seen: set = set()
-    for set_name in sorted(catalogue):
-        instruction_set = catalogue[set_name]
-        if instruction_set.is_continuous:
-            family = instruction_set.continuous_family
-            if args.family and family != args.family:
-                continue
-            if ("family", family) not in seen:
-                seen.add(("family", family))
-                work.append((f"family:{family}", None, family))
-        else:
-            if args.family:
-                continue
-            for gate_type in instruction_set.gate_types:
-                fingerprint = gate_fingerprint(gate_type.gate)
-                if ("gate", fingerprint) not in seen:
-                    seen.add(("gate", fingerprint))
-                    work.append((gate_type.label, gate_type.gate, None))
-    if args.family and not work:
-        work.append((f"family:{args.family}", None, args.family))
-
-    rows = []
-    for label, gate, family in work:
-        before = dict(_TABLE_COUNTERS)
-        table = table_for(decomposer, gate, family, config)
-        if _TABLE_COUNTERS["builds"] > before["builds"]:
-            source = "built"
-        elif _TABLE_COUNTERS["disk_loads"] > before["disk_loads"]:
-            source = "disk"
-        else:
-            source = "memory"
-        rows.append(
-            {
-                "target": label,
-                "resolution": table.spec.resolution,
-                "max_layers": table.spec.max_layers,
-                "points": len(table.entries),
-                "source": source,
-                "build_s": round(table.build_seconds, 2),
-            }
-        )
-    cache = _resolve_cli_disk_cache(args)
-    footer = (
-        "\n(no disk cache configured -- tables live in this process only; "
-        "set REPRO_CACHE_DIR or pass --cache-dir to persist them)"
-        if cache is None
-        else ""
-    )
-    return "Decomposition tables\n" + render_table(rows) + footer
 
 
 def _cmd_serve(args: argparse.Namespace) -> str:
@@ -774,7 +665,6 @@ _FIGURE_COMMANDS: Dict[str, Callable[[argparse.Namespace], str]] = {
     "calibration": _cmd_calibration,
     "apps": _cmd_apps,
     "cache": _cmd_cache,
-    "tabulate": _cmd_tabulate,
     "pipelines": _cmd_pipelines,
     "simulators": _cmd_simulators,
     "serve": _cmd_serve,
@@ -856,51 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help="cache directory (default: the REPRO_CACHE_DIR environment variable)",
-    )
-
-    tabulate = subparsers.add_parser(
-        "tabulate",
-        help="build or inspect the Weyl-chamber decomposition tables "
-        "(REPRO_DECOMP_TABULATION)",
-    )
-    tabulate.add_argument(
-        "--sets",
-        nargs="+",
-        default=None,
-        metavar="SET",
-        help="restrict to these Table II instruction sets "
-        "(default: the full Google + Rigetti catalogue)",
-    )
-    tabulate.add_argument(
-        "--family",
-        default=None,
-        choices=("fsim", "xy"),
-        help="tabulate only this continuous two-qubit family",
-    )
-    tabulate.add_argument(
-        "--resolution",
-        type=_positive_int,
-        default=None,
-        help="grid points per Weyl-chamber axis "
-        "(default: REPRO_DECOMP_GRID_RESOLUTION or 5)",
-    )
-    tabulate.add_argument(
-        "--max-layers",
-        type=_positive_int,
-        default=4,
-        help="deepest layer count tabulated per grid point (default 4, "
-        "matching the decomposer default)",
-    )
-    tabulate.add_argument(
-        "--stats",
-        action="store_true",
-        help="print the tabulation cache counters instead of building tables",
-    )
-    tabulate.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persist tables to the disk cache in this directory "
-        "(overrides the REPRO_CACHE_DIR environment variable)",
     )
 
     pipelines = subparsers.add_parser(

@@ -82,12 +82,6 @@ Read once, when the process-global cache is constructed at import time
 
 _DEFAULT_TUNER_CACHE_SIZE = 8192
 
-_TABULATED_LAYER_SWEEP = (2, 3)
-"""Extra ``max_layers`` budgets the tuner tries per candidate pipeline
-when decomposition tabulation is active (values matching the caller's
-effective budget, or exceeding the decomposer's table depth, are
-skipped)."""
-
 _DEFAULT_CANDIDATES = ("default", "optimized", "fused")
 """Candidate pipelines the tuner scores unless told otherwise: the paper's
 toolflow, the peephole-cancellation variant and the SU(4) pre-fusion
@@ -151,55 +145,31 @@ def predicted_compiled_fidelity(
 
 @dataclass(frozen=True)
 class CandidateScore:
-    """Predicted fidelity and hardware cost of one candidate trial.
-
-    A trial is a candidate pipeline plus optional compile-option
-    overrides.  ``max_layers_override`` / ``approximate_override`` are
-    ``None`` for the classic per-pipeline trials; the tabulated sweep
-    (see :func:`autotune_pipeline`) sets them on its extra trials, and a
-    winning override is applied by the ``pipeline="auto"`` compile paths.
-    """
+    """Predicted fidelity and hardware cost of one candidate pipeline."""
 
     pipeline: str
     predicted_fidelity: float
     two_qubit_count: int
     single_qubit_count: int
     duration_ns: float
-    max_layers_override: Optional[int] = None
-    approximate_override: Optional[bool] = None
 
     def as_row(self) -> Dict[str, object]:
         """Row for tabular reporting."""
-        row = {
+        return {
             "pipeline": self.pipeline,
             "predicted_fidelity": round(self.predicted_fidelity, 6),
             "2q": self.two_qubit_count,
             "1q": self.single_qubit_count,
             "duration_ns": round(self.duration_ns, 1),
         }
-        max_layers = getattr(self, "max_layers_override", None)
-        approximate = getattr(self, "approximate_override", None)
-        if max_layers is not None:
-            row["max_layers"] = max_layers
-        if approximate is not None:
-            row["approximate"] = approximate
-        return row
 
 
 @dataclass(frozen=True)
 class TunerVerdict:
-    """The autotuner's decision for one (circuit, calibration, set) key.
-
-    ``winner`` pins the exact winning trial (several trials may share a
-    pipeline name under the tabulated sweep).  Verdicts unpickled from
-    disk blobs written before the sweep existed lack the field, so every
-    reader goes through :meth:`winning_score`, which falls back to the
-    first score with the winning pipeline name.
-    """
+    """The autotuner's decision for one (circuit, calibration, set) key."""
 
     pipeline: str
     scores: Tuple[CandidateScore, ...]
-    winner: Optional[CandidateScore] = None
 
     def score_for(self, pipeline: str) -> Optional[CandidateScore]:
         """The score of one candidate, or ``None`` if it was not evaluated."""
@@ -208,31 +178,10 @@ class TunerVerdict:
                 return score
         return None
 
-    def winning_score(self) -> Optional[CandidateScore]:
-        """The winning trial's score record."""
-        winner = getattr(self, "winner", None)
-        if winner is not None:
-            return winner
-        return self.score_for(self.pipeline)
-
     def winning_fidelity(self) -> float:
         """Predicted fidelity of the selected pipeline."""
-        winner = self.winning_score()
+        winner = self.score_for(self.pipeline)
         return winner.predicted_fidelity if winner is not None else 1.0
-
-    def compile_options(
-        self, approximate: bool, max_layers: Optional[int]
-    ) -> Tuple[bool, Optional[int]]:
-        """The caller's compile options with the winner's overrides applied."""
-        winner = self.winning_score()
-        if winner is None:
-            return approximate, max_layers
-        approximate_override = getattr(winner, "approximate_override", None)
-        max_layers_override = getattr(winner, "max_layers_override", None)
-        return (
-            approximate if approximate_override is None else approximate_override,
-            max_layers if max_layers_override is None else max_layers_override,
-        )
 
 
 class TunerVerdictCache:
@@ -424,45 +373,20 @@ def autotune_pipeline(
                 verdicts.put(key, stored)
                 return stored
 
-    trials: List[Tuple[str, Optional[bool], Optional[int]]] = [
-        (name, None, None) for name in candidates
-    ]
-    if decomposer.resolved_tabulation() is not None:
-        # Tabulated trial compiles are table lookups plus a 1q polish, an
-        # order of magnitude cheaper than full NuOp optimisation, so the
-        # tuner can afford to sweep compile options the classic tuner
-        # holds fixed: tighter layer budgets (fewer entangling gates at
-        # some F_d cost) and the exact-decomposition mode.  Base trials
-        # come first, so ties keep resolving to the un-overridden
-        # configuration.
-        effective_limit = (
-            decomposer.max_layers if max_layers is None else int(max_layers)
-        )
-        for name in candidates:
-            for layers in _TABULATED_LAYER_SWEEP:
-                if layers != effective_limit and layers <= decomposer.max_layers:
-                    trials.append((name, None, layers))
-            if approximate:
-                trials.append((name, False, None))
-
     scores: List[CandidateScore] = []
-    for name, trial_approximate, trial_max_layers in trials:
+    for name in candidates:
         trial_device = copy.deepcopy(device)
         compiled = compile_circuit_cached(
             circuit,
             trial_device,
             instruction_set,
             decomposer=decomposer,
-            approximate=(
-                approximate if trial_approximate is None else trial_approximate
-            ),
+            approximate=approximate,
             use_noise_adaptivity=use_noise_adaptivity,
             merge_single_qubit=merge_single_qubit,
             layout=layout,
             error_scale=error_scale,
-            max_layers=(
-                max_layers if trial_max_layers is None else trial_max_layers
-            ),
+            max_layers=max_layers,
             pipeline=name,
             cache=cache,
             disk_cache=disk,
@@ -477,8 +401,6 @@ def autotune_pipeline(
                 two_qubit_count=compiled.two_qubit_gate_count,
                 single_qubit_count=compiled.circuit.num_single_qubit_gates(),
                 duration_ns=float(schedule.total_duration),
-                max_layers_override=trial_max_layers,
-                approximate_override=trial_approximate,
             )
         )
 
@@ -486,9 +408,7 @@ def autotune_pipeline(
     for score in scores[1:]:
         if score.predicted_fidelity > winner.predicted_fidelity:
             winner = score
-    verdict = TunerVerdict(
-        pipeline=winner.pipeline, scores=tuple(scores), winner=winner
-    )
+    verdict = TunerVerdict(pipeline=winner.pipeline, scores=tuple(scores))
     if key is not None:
         verdicts.put(key, verdict)
         if disk is not None:

@@ -10,18 +10,23 @@ noise-aware mode, Eq. 2).
 
 The expensive part -- the per-layer-count optimisation -- depends only on
 the target unitary and the hardware gate type, so results are cached and
-re-used across qubit pairs and across circuits.
+re-used across qubit pairs and across circuits.  Layer counts that are
+clearly below exact exist only to report their ``F_d`` to Eq. 2; where
+that value has a closed form in the Weyl coordinates of the target and
+the gate (:func:`closed_form_fidelity`), the profile records it instead
+of optimising, and optimises such a count only if a query selects it.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from repro.circuits.circuit import Operation, QuantumCircuit
 from repro.circuits.gate import Gate, fsim_gate, u3_gate, xy_gate
@@ -31,10 +36,14 @@ from repro.core.templates import (
     continuous_family_template,
     fixed_gate_template,
 )
+from repro.gates.kak import precise_weyl_coordinates
 from repro.gates.unitary import hilbert_schmidt_fidelity, nearest_kronecker_product
 
 EXACT_FIDELITY_THRESHOLD = 1.0 - 1e-6
 """Decomposition fidelity treated as numerically exact (paper uses 1e-6..1e-8 infidelity)."""
+
+NEAR_MISS_INFIDELITY = 2e-3
+"""Infidelity below which an inexact optimum earns confirmation restarts."""
 
 PROFILE_CACHE_SIZE_ENV_VAR = "REPRO_DECOMP_CACHE_SIZE"
 """Entry cap of the process-wide fidelity-profile LRU (default 4096).
@@ -97,18 +106,132 @@ def profile_cache_stats() -> Dict[str, int]:
 
 
 def clear_profile_cache() -> None:
-    """Drop every cached fidelity profile (counters keep accumulating)."""
+    """Drop every cached fidelity profile and Weyl-coordinate memo entry.
+
+    Hit/miss counters keep accumulating.
+    """
     with _PROFILE_CACHE_LOCK:
         _PROFILE_CACHE.clear()
+    with _COORDINATE_CACHE_LOCK:
+        _COORDINATE_CACHE.clear()
+
+
+# ---------------------------------------------------------------------------
+# Closed-form F_d of sub-exact layer counts
+# ---------------------------------------------------------------------------
+#
+# In the chamber convention of :mod:`repro.gates.kak` the canonical gate
+# A(x, y, z) = exp(i (x XX + y YY + z ZZ)) has |Tr A| / 4 equal to
+# |cos x cos y cos z + i sin x sin y sin z|, the "trace" of Cross et al.
+# (PRA 100, 032328) and Peterson et al. (Quantum 6, 696).  With t the
+# target's and g the gate's coordinates:
+#
+# * no layer:        F_d = trace(t);
+# * one fixed layer: F_d = max over the 8 sign vectors s of trace(t - s g);
+# * one XY layer:    the same, maximised over theta with g = (theta/4, theta/4, 0);
+# * two layers of a supercontrolled gate (g = (pi/4, b, 0)): F_d = |cos t_z|.
+#
+# Weyl coordinates depend only on the local-equivalence class, so each
+# target and gate is analysed once, memoised under the phase-canonical
+# target key the profile LRU builds.
+
+_COORDINATE_CACHE: "OrderedDict[bytes, Optional[np.ndarray]]" = OrderedDict()
+_COORDINATE_CACHE_LOCK = threading.Lock()
+
+_SIGN_VECTORS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+_XY_DIRECTIONS = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]])
+_XY_GRID = np.linspace(0.0, np.pi, 129)
+"""``a = theta / 4`` over one period of ``trace(t - a d)`` for ``XY(theta)``."""
+
+
+def _weyl_point(key: bytes, matrix: np.ndarray) -> Optional[np.ndarray]:
+    """Memoised chamber coordinates, ``None`` when ``matrix`` is not unitary."""
+    with _COORDINATE_CACHE_LOCK:
+        if key in _COORDINATE_CACHE:
+            _COORDINATE_CACHE.move_to_end(key)
+            return _COORDINATE_CACHE[key]
+    try:
+        point = precise_weyl_coordinates(matrix)
+    except ValueError:
+        point = None
+    with _COORDINATE_CACHE_LOCK:
+        _COORDINATE_CACHE[key] = point
+        while len(_COORDINATE_CACHE) > _PROFILE_CACHE_MAX_ENTRIES:
+            _COORDINATE_CACHE.popitem(last=False)
+    return point
+
+
+def _trace_fidelity(points: np.ndarray) -> np.ndarray:
+    """``|Tr A(x, y, z)| / 4`` over the last axis of ``points``."""
+    x, y, z = points[..., 0], points[..., 1], points[..., 2]
+    return np.hypot(
+        np.cos(x) * np.cos(y) * np.cos(z), np.sin(x) * np.sin(y) * np.sin(z)
+    )
+
+
+def _xy_layer_fidelity(target: np.ndarray) -> float:
+    """Best ``F_d`` of one ``XY(theta)`` layer over every ``theta``.
+
+    The grid locates each local maximum within 0.05 of the best grid
+    value (the grid's worst-case shortfall is ~1e-3), and a bounded
+    scalar search refines it.
+    """
+    values = _trace_fidelity(target - _XY_DIRECTIONS[:, None, :] * _XY_GRID[:, None])
+    best = float(values.max())
+    step = _XY_GRID[1]
+    for direction, row in zip(_XY_DIRECTIONS, values):
+        peaks = (row >= np.roll(row, 1)) & (row >= np.roll(row, -1)) & (row > best - 0.05)
+        for centre in _XY_GRID[peaks]:
+            refined = minimize_scalar(
+                lambda a: -float(_trace_fidelity(target - a * direction)),
+                bounds=(centre - step, centre + step),
+                method="bounded",
+                options={"xatol": 1e-12},
+            )
+            best = max(best, -float(refined.fun))
+    return best
+
+
+def closed_form_fidelity(
+    target: np.ndarray, gate: Optional[np.ndarray], family: Optional[str], num_layers: int
+) -> Optional[float]:
+    """Best ``F_d`` of ``num_layers`` layers from Weyl coordinates, if known.
+
+    ``target`` and ``gate`` are chamber coordinates (``gate`` is ``None``
+    for a continuous ``family``).  Returns ``None`` where no closed form
+    is implemented: three or more layers, two layers of a gate that is
+    not supercontrolled, two continuous layers, and one FullfSim layer.
+    """
+    if num_layers == 0:
+        return float(_trace_fidelity(target))
+    if num_layers == 1 and family is None:
+        return float(_trace_fidelity(target - _SIGN_VECTORS * gate).max())
+    if num_layers == 1 and family == "xy":
+        return _xy_layer_fidelity(target)
+    if (
+        num_layers == 2
+        and family is None
+        and abs(gate[0] - np.pi / 4) < 1e-9
+        and abs(gate[2]) < 1e-9
+    ):
+        return float(abs(np.cos(target[2])))
+    return None
 
 
 @dataclass(frozen=True)
 class LayerSolution:
-    """Best decomposition found for one specific layer count."""
+    """Best decomposition found for one specific layer count.
+
+    ``parameters`` is ``None`` when ``fidelity`` is a closed-form value the
+    optimiser has not run for.  ``rng_offset`` counts the restart draws the
+    profile's shared generator made before this count, so the count can
+    later be optimised exactly as the profile loop would have.
+    """
 
     num_layers: int
     fidelity: float
-    parameters: np.ndarray
+    parameters: Optional[np.ndarray]
+    rng_offset: int = 0
 
 
 @dataclass
@@ -198,14 +321,6 @@ class NuOpDecomposer:
     seed:
         Seed of the restart generator (results are deterministic for a
         fixed seed).
-    tabulation:
-        Weyl-chamber tabulation knob.  ``None`` (default) consults the
-        ``REPRO_DECOMP_TABULATION`` environment flag; ``False`` forces the
-        classic per-target optimisation; ``True`` enables tabulation with
-        the default grid; a
-        :class:`repro.compiler.tabulation.TabulationConfig` enables it
-        with explicit settings.  When inactive, every query follows the
-        pre-tabulation code path bit for bit.
     """
 
     max_layers: int = 4
@@ -214,17 +329,32 @@ class NuOpDecomposer:
     maxiter: int = 250
     exact_threshold: float = EXACT_FIDELITY_THRESHOLD
     seed: int = 7
-    tabulation: object = None
 
     # -- low-level optimisation -------------------------------------------------
+
+    def _num_random_starts(self, template: TemplateSpec) -> int:
+        """Random starts per layer count, drawn up front from the shared generator."""
+        if template.num_two_qubit_parameters > 0:
+            # Continuous-family templates have a rugged landscape (the
+            # two-qubit angles are variables too); a handful of extra random
+            # starts is needed to reliably find e.g. the one-layer
+            # fSim(pi/2, pi) = SWAP solution instead of a two-layer local
+            # optimum.  The early break in _optimise_template keeps the
+            # common case cheap.
+            return max(self.restarts, 6)
+        return self.restarts
 
     def _optimise_template(
         self,
         target: np.ndarray,
         template: TemplateSpec,
         rng: np.random.Generator,
-    ) -> Tuple[float, np.ndarray]:
-        """Best fidelity and parameters for one template size."""
+    ) -> Tuple[float, np.ndarray, int]:
+        """Best fidelity and parameters for one template size.
+
+        Also returns how many doubles were drawn from ``rng`` (every random
+        start is drawn up front; confirmation restarts draw more).
+        """
         target = np.asarray(target, dtype=complex)
 
         def objective(flat: np.ndarray):
@@ -246,15 +376,8 @@ class NuOpDecomposer:
                 best_value = float(result.fun)
                 best_params = np.asarray(result.x, dtype=float)
 
+        num_random = self._num_random_starts(template)
         starts = [template.initial_parameters()]
-        num_random = self.restarts
-        if template.num_two_qubit_parameters > 0:
-            # Continuous-family templates have a rugged landscape (the
-            # two-qubit angles are variables too); a handful of extra random
-            # starts is needed to reliably find e.g. the one-layer
-            # fSim(pi/2, pi) = SWAP solution instead of a two-layer local
-            # optimum.  The early break below keeps the common case cheap.
-            num_random = max(self.restarts, 6)
         starts += [template.initial_parameters(rng) for _ in range(num_random)]
         for start in starts:
             run_start(start)
@@ -265,12 +388,12 @@ class NuOpDecomposer:
         # exact solution exists before reporting an approximate one.
         extra = 0
         while (
-            1.0 - self.exact_threshold <= best_value < 2e-3
+            1.0 - self.exact_threshold <= best_value < NEAR_MISS_INFIDELITY
             and extra < self.confirmation_restarts
         ):
             run_start(template.initial_parameters(rng))
             extra += 1
-        return 1.0 - best_value, best_params
+        return 1.0 - best_value, best_params, (num_random + extra) * template.num_parameters
 
     def _target_cache_key(self, target: np.ndarray) -> bytes:
         """Exact-bytes cache key for a target, canonicalised in global phase.
@@ -290,19 +413,14 @@ class NuOpDecomposer:
             matrix = matrix * (pivot.conjugate() / magnitude)
         return matrix.tobytes()
 
-    def _profile_cache_key(
-        self, target: np.ndarray, gate_key: str, limit: int
-    ) -> Tuple:
+    def _profile_cache_key(self, target_key: bytes, gate_key: str, limit: int) -> Tuple:
         """Key into the process-wide profile LRU.
 
-        Folds in every optimisation knob (the cache is shared between
-        decomposer instances) and the resolved tabulation state (a
-        tabulated profile is polished from grid starts, so it must never
-        alias an exhaustively optimised one).
+        Folds in every optimisation knob: the cache is shared between
+        decomposer instances.
         """
-        config = self.resolved_tabulation()
         return (
-            self._target_cache_key(target),
+            target_key,
             gate_key,
             limit,
             self.restarts,
@@ -310,14 +428,7 @@ class NuOpDecomposer:
             self.maxiter,
             self.exact_threshold,
             self.seed,
-            None if config is None else config.fingerprint(),
         )
-
-    def resolved_tabulation(self):
-        """The active tabulation config, or ``None`` for the classic path."""
-        from repro.compiler.tabulation import resolve_tabulation
-
-        return resolve_tabulation(self.tabulation)
 
     def _make_template(self, num_layers: int, gate: Optional[Gate], family: Optional[str]) -> TemplateSpec:
         if family is None:
@@ -340,48 +451,104 @@ class NuOpDecomposer:
         Either ``gate`` (a fixed hardware gate) or ``family`` (``"xy"`` /
         ``"fsim"``) must be provided.  Layer growth stops early once the
         exact threshold is reached; the profile is cached in the
-        process-wide LRU.  With tabulation active the per-layer solutions
-        are polished from the nearest Weyl-chamber grid entry instead of
-        being optimised from scratch.
+        process-wide LRU.  Entries with ``parameters=None`` hold a
+        closed-form ``F_d`` (see :func:`closed_form_fidelity`) that is at
+        least the optimiser's value; the decomposition queries optimise
+        such an entry only when they select it.
         """
-        if (gate is None) == (family is None):
-            raise ValueError("provide exactly one of 'gate' or 'family'")
-        limit = self.max_layers if max_layers is None else int(max_layers)
-        cache_key = self._profile_cache_key(
-            target, gate.type_key if gate is not None else f"family:{family}", limit
-        )
-        cached = _profile_cache_get(cache_key)
-        if cached is not None:
-            return cached
+        return self._cached_profile(target, gate, family, max_layers)[1]
 
-        profile: Optional[List[LayerSolution]] = None
-        config = self.resolved_tabulation()
-        if config is not None:
-            from repro.compiler.tabulation import tabulated_profile
-
-            profile = tabulated_profile(self, target, gate, family, limit, config)
-        if profile is None:
-            profile = self._optimised_profile(target, gate, family, limit)
-        _profile_cache_put(cache_key, profile)
-        return profile
-
-    def _optimised_profile(
+    def _cached_profile(
         self,
         target: np.ndarray,
         gate: Optional[Gate],
         family: Optional[str],
+        max_layers: Optional[int],
+    ) -> Tuple[Tuple, List[LayerSolution]]:
+        if (gate is None) == (family is None):
+            raise ValueError("provide exactly one of 'gate' or 'family'")
+        limit = self.max_layers if max_layers is None else int(max_layers)
+        target_key = self._target_cache_key(target)
+        cache_key = self._profile_cache_key(
+            target_key, gate.type_key if gate is not None else f"family:{family}", limit
+        )
+        profile = _profile_cache_get(cache_key)
+        if profile is None:
+            profile = self._optimised_profile(target, target_key, gate, family, limit)
+            _profile_cache_put(cache_key, profile)
+        return cache_key, profile
+
+    def _optimised_profile(
+        self,
+        target: np.ndarray,
+        target_key: bytes,
+        gate: Optional[Gate],
+        family: Optional[str],
         limit: int,
     ) -> List[LayerSolution]:
-        """The classic per-layer BFGS profile (the untabulated code path)."""
+        """Per-layer profile on one shared restart generator.
+
+        A count whose closed-form infidelity is beyond both the near-miss
+        band and the exact threshold is not optimised: the optimiser could
+        neither reach exact there nor run confirmation restarts, so its
+        draws are exactly its random starts, and the generator is advanced
+        past them.  Every optimised count therefore sees the same draws,
+        and returns the same parameters, as when every count is optimised.
+        """
+        skip_above = max(NEAR_MISS_INFIDELITY, 1.0 - self.exact_threshold) + 1e-9
+        target_point = _weyl_point(target_key, target)
+        gate_point = None
+        if gate is not None:
+            gate_point = _weyl_point(self._target_cache_key(gate.matrix), gate.matrix)
+        analysable = target_point is not None and (gate is None or gate_point is not None)
         rng = np.random.default_rng(self.seed)
+        offset = 0
         profile: List[LayerSolution] = []
         for num_layers in range(limit + 1):
             template = self._make_template(num_layers, gate, family)
-            fidelity, params = self._optimise_template(target, template, rng)
-            profile.append(LayerSolution(num_layers, fidelity, params))
+            bound = None
+            if analysable:
+                bound = closed_form_fidelity(target_point, gate_point, family, num_layers)
+            if bound is not None and 1.0 - bound > skip_above:
+                draws = self._num_random_starts(template) * template.num_parameters
+                rng.bit_generator.advance(draws)
+                profile.append(LayerSolution(num_layers, bound, None, offset))
+                offset += draws
+                continue
+            fidelity, params, draws = self._optimise_template(target, template, rng)
+            profile.append(LayerSolution(num_layers, fidelity, params, offset))
+            offset += draws
             if fidelity >= self.exact_threshold:
                 break
         return profile
+
+    def _select(
+        self,
+        target: np.ndarray,
+        gate: Optional[Gate],
+        family: Optional[str],
+        max_layers: Optional[int],
+        pick: Callable[[List[LayerSolution]], LayerSolution],
+    ) -> LayerSolution:
+        """The profile entry ``pick`` selects, optimised if it was skipped.
+
+        An optimised entry replaces its closed-form one (the updated
+        profile goes back into the LRU) and ``pick`` runs again.  Closed
+        forms are never below the optimiser's value, so this ends on the
+        entry ``pick`` selects from a fully optimised profile.
+        """
+        cache_key, profile = self._cached_profile(target, gate, family, max_layers)
+        chosen = pick(profile)
+        while chosen.parameters is None:
+            template = self._make_template(chosen.num_layers, gate, family)
+            rng = np.random.default_rng(self.seed)
+            rng.bit_generator.advance(chosen.rng_offset)
+            fidelity, params, _ = self._optimise_template(target, template, rng)
+            solved = replace(chosen, fidelity=fidelity, parameters=params)
+            profile = [solved if entry is chosen else entry for entry in profile]
+            _profile_cache_put(cache_key, profile)
+            chosen = pick(profile)
+        return chosen
 
     # -- decomposition construction ------------------------------------------------
 
@@ -430,23 +597,14 @@ class NuOpDecomposer:
         close it got).
         """
         threshold = self.exact_threshold if fidelity_threshold is None else fidelity_threshold
-        config = self.resolved_tabulation()
-        if config is not None:
-            from repro.compiler.tabulation import tabulated_decompose_exact
 
-            result = tabulated_decompose_exact(
-                self, target, gate, family, threshold, max_layers, label, config
-            )
-            if result is not None:
-                return result
-        profile = self.fidelity_profile(target, gate=gate, family=family, max_layers=max_layers)
-        chosen = None
-        for solution in profile:
-            if solution.fidelity >= threshold:
-                chosen = solution
-                break
-        if chosen is None:
-            chosen = max(profile, key=lambda item: item.fidelity)
+        def first_meeting_threshold(profile: List[LayerSolution]) -> LayerSolution:
+            for solution in profile:
+                if solution.fidelity >= threshold:
+                    return solution
+            return max(profile, key=lambda item: item.fidelity)
+
+        chosen = self._select(target, gate, family, max_layers, first_meeting_threshold)
         return self._build_decomposition(target, chosen, gate, family, 1.0, label)
 
     def decompose_approximate(
@@ -465,43 +623,25 @@ class NuOpDecomposer:
         two-qubit gate on the edge where the decomposition will run;
         ``single_qubit_fidelity`` optionally accounts for the interleaved
         U3 layers (two gates per boundary).
-
-        With tabulation active the layer count is selected from the
-        tabulated fidelity estimates and only the winner's single-qubit
-        angles are polished, which is what makes warm lookups an order of
-        magnitude cheaper than the full profile.
         """
-        config = self.resolved_tabulation()
-        if config is not None:
-            from repro.compiler.tabulation import tabulated_decompose_approximate
 
-            result = tabulated_decompose_approximate(
-                self,
-                target,
-                gate,
-                family,
-                gate_fidelity,
-                single_qubit_fidelity,
-                max_layers,
-                label,
-                config,
-            )
-            if result is not None:
-                return result
-        profile = self.fidelity_profile(target, gate=gate, family=family, max_layers=max_layers)
-        best_solution = None
-        best_overall = -np.inf
-        best_hardware = 1.0
-        for solution in profile:
+        def hardware_fidelity(solution: LayerSolution) -> float:
             hardware = gate_fidelity**solution.num_layers
-            hardware *= single_qubit_fidelity ** (2 * (solution.num_layers + 1))
-            overall = solution.fidelity * hardware
-            if overall > best_overall + 1e-12:
-                best_overall = overall
-                best_solution = solution
-                best_hardware = hardware
+            return hardware * single_qubit_fidelity ** (2 * (solution.num_layers + 1))
+
+        def maximising_overall(profile: List[LayerSolution]) -> LayerSolution:
+            best_solution = None
+            best_overall = -np.inf
+            for solution in profile:
+                overall = solution.fidelity * hardware_fidelity(solution)
+                if overall > best_overall + 1e-12:
+                    best_overall = overall
+                    best_solution = solution
+            return best_solution
+
+        chosen = self._select(target, gate, family, max_layers, maximising_overall)
         return self._build_decomposition(
-            target, best_solution, gate, family, best_hardware, label
+            target, chosen, gate, family, hardware_fidelity(chosen), label
         )
 
     def decompose_for_threshold(

@@ -238,7 +238,6 @@ def compile_circuit(
             max_layers=max_layers,
         )
         pipeline = verdict.pipeline
-        approximate, max_layers = verdict.compile_options(approximate, max_layers)
     config = resolve_pipeline(pipeline)
     options = {
         "approximate": approximate,
@@ -368,13 +367,7 @@ def _decomposer_fingerprint(decomposer: NuOpDecomposer) -> str:
     keys.  ``templates.OBJECTIVE_VERSION`` is folded in because a new
     objective may move optimiser trajectories in the last ulp, so entries
     compiled under an older objective are orphaned rather than served.
-    The Weyl-chamber tabulation state is folded in only when active, as a
-    trailing component: tabulated results are polished from grid starts
-    rather than optimised from scratch, so the two modes must never share
-    compilation-cache entries.
     """
-    tabulation = decomposer.resolved_tabulation()
-    extra = () if tabulation is None else tabulation.fingerprint()
     return hash_scalars(
         "decomposer",
         templates.OBJECTIVE_VERSION,
@@ -384,7 +377,6 @@ def _decomposer_fingerprint(decomposer: NuOpDecomposer) -> str:
         decomposer.maxiter,
         decomposer.exact_threshold,
         decomposer.seed,
-        *extra,
     )
 
 
@@ -612,7 +604,6 @@ def compile_circuit_cached(
             disk_cache=disk_cache,
         )
         pipeline = verdict.pipeline
-        approximate, max_layers = verdict.compile_options(approximate, max_layers)
     pipeline_config = resolve_pipeline(pipeline)
     if layout is not None:
         return compile_circuit(

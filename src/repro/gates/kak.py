@@ -106,9 +106,10 @@ def canonical_invariants(
     -x - y - z)``, so ``gamma`` has eigenvalues ``exp(2i t_k)`` and the
     characteristic-polynomial coefficients follow from Newton's
     identities without building a single matrix.  Accepts scalars or
-    broadcastable arrays (the tabulation grid evaluates thousands of
-    chamber points in one call); agrees with
-    :func:`local_invariants` applied to the assembled gate to ~1e-15.
+    broadcastable arrays (the coarse chamber grid of
+    :func:`weyl_coordinates` evaluates thousands of points in one call);
+    agrees with :func:`local_invariants` applied to the assembled gate to
+    ~1e-15.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -155,13 +156,23 @@ def _coarse_chamber_grid() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     """
     global _COARSE_GRID
     if _COARSE_GRID is None:
-        quarter = np.pi / 4
-        axis = np.linspace(0.0, quarter, 33)
-        grid_x, grid_y, grid_z = np.meshgrid(
-            axis, axis, np.concatenate([-axis[:0:-1], axis]), indexing="ij"
+        # 33 points per axis, z over the symmetric 65-point axis.  Only the
+        # chamber points are generated (x index i >= y index j, z index
+        # within j of the centre), in the row-major order a full
+        # meshgrid filtered to the chamber would give.
+        axis = np.linspace(0.0, np.pi / 4, 33)
+        z_axis = np.concatenate([-axis[:0:-1], axis])
+        x_index, y_index = np.tril_indices(axis.size)
+        widths = 2 * y_index + 1
+        first = np.cumsum(widths) - widths
+        z_index = (
+            np.arange(widths.sum())
+            - np.repeat(first, widths)
+            + np.repeat(axis.size - 1 - y_index, widths)
         )
-        inside = (grid_x >= grid_y - 1e-12) & (grid_y >= np.abs(grid_z) - 1e-12)
-        grid_x, grid_y, grid_z = grid_x[inside], grid_y[inside], grid_z[inside]
+        grid_x = axis[np.repeat(x_index, widths)]
+        grid_y = axis[np.repeat(y_index, widths)]
+        grid_z = z_axis[z_index]
         candidates = np.stack(
             canonical_invariants(grid_x, grid_y, grid_z), axis=-1
         )
@@ -237,12 +248,20 @@ def weyl_coordinates(
                 best_value = value
             if best_value < 1e-10:
                 break
-    # Canonicalise into the chamber.  The eigenphase multiset of the
-    # canonical gate is invariant under coordinate permutations and under
-    # flipping the signs of any two coordinates, so the optimiser may land
-    # on any such image inside the search box (e.g. ``(x, -z, -y)``);
-    # sorting by magnitude and repairing signs in pairs maps it back.
-    values = [float(v) for v in best_coords]
+    # The optimiser may land on any chamber image inside the search box
+    # (e.g. ``(x, -z, -y)``).
+    return _sort_into_chamber(best_coords)
+
+
+def _sort_into_chamber(coordinates) -> Tuple[float, float, float]:
+    """Map a point of the box ``|x|, |y|, |z| <= pi/4`` to its chamber image.
+
+    The eigenphase multiset of the canonical gate is invariant under
+    coordinate permutations and under flipping the signs of any two
+    coordinates; sorting by magnitude and repairing signs in pairs maps
+    every image back into the chamber.
+    """
+    values = [float(v) for v in coordinates]
     values.sort(key=abs, reverse=True)
     x, y, z = values
     if x < 0 and y < 0:
@@ -254,6 +273,38 @@ def weyl_coordinates(
     if abs(x - np.pi / 4) < 1e-9 and z < 0:
         z = -z
     return x, y, z
+
+
+def precise_weyl_coordinates(matrix: np.ndarray) -> np.ndarray:
+    """Weyl-chamber coordinates read off the eigenphases of ``gamma``.
+
+    Same chamber point as :func:`weyl_coordinates`, to machine precision
+    everywhere: invariant matching is only quadratically accurate on the
+    chamber's degenerate faces (``x = y``, ``y = |z|``, ``x = pi/4``),
+    where a 1e-10 residual leaves coordinates off by up to ~1e-6, while
+    ``gamma`` is unitary, so its eigenvalues ``exp(2i t_k)`` are exact even
+    when they coincide.  The eigenphases ``t = (x - y + z, -x + y + z,
+    x + y - z, -x - y - z)`` are known up to their order, a multiple of
+    ``pi`` each and the sign of ``gamma``; any choice that sums to zero
+    solves to a point whose image under permutations, sign flips in pairs
+    and ``pi/2`` shifts of single coordinates (all local equivalences) is
+    the chamber point.  Returns it as an array ``(x, y, z)``.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    if not is_unitary(matrix, atol=1e-6):
+        raise ValueError("precise_weyl_coordinates requires a unitary matrix")
+    phases = np.sort(np.angle(np.linalg.eigvals(gamma_matrix(matrix))) / 2.0)
+    # The eigenvalues multiply to one, so the halved phases sum to a
+    # multiple of pi; move that multiple off the largest ones.
+    excess = int(round(phases.sum() / np.pi))
+    if excess > 0:
+        phases[-excess:] -= np.pi
+    elif excess < 0:
+        phases[:-excess] += np.pi
+    x, y, z = phases[0] + phases[2], phases[1] + phases[2], phases[0] + phases[1]
+    point = np.array([x, y, z]) / 2.0
+    point -= np.pi / 2 * np.round(point / (np.pi / 2))
+    return np.array(_sort_into_chamber(point))
 
 
 def min_cz_count(matrix: np.ndarray, atol: float = 1e-6) -> int:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.circuits.gate import named_gate
+from repro.core import decomposer as decomposer_module
 from repro.core.decomposer import (
     EXACT_FIDELITY_THRESHOLD,
     NuOpDecomposer,
     decompose_local_unitary,
+    profile_cache_stats,
 )
 from repro.core.gate_types import google_gate_type
 from repro.gates.kak import min_cz_count
@@ -153,6 +155,35 @@ class TestCachingAndBookkeeping:
         decomposer.clear_cache()
         third = decomposer.fidelity_profile(target, gate=CZ_GATE)
         assert third is not first
+
+    def test_target_key_canonicalises_sign_flip(self, rng):
+        """A global sign (the most common KAK reconstruction ambiguity)
+        maps to the same key: IEEE negation is exact, so the pivot
+        rotation cancels it bit for bit.  Other phases canonicalise only
+        approximately -- a miss there costs a recompute, never
+        correctness."""
+        decomposer = NuOpDecomposer()
+        target = random_su4(rng)
+        key = decomposer._target_cache_key(target)
+        assert decomposer._target_cache_key(-target) == key
+
+    def test_target_key_has_no_rounding_aliasing(self, rng):
+        """Sub-1e-10 perturbations used to collide under decimal rounding."""
+        decomposer = NuOpDecomposer()
+        target = random_su4(rng)
+        perturbed = target.copy()
+        perturbed[1, 2] += 1e-11
+        assert decomposer._target_cache_key(target) != decomposer._target_cache_key(
+            perturbed
+        )
+
+    def test_profile_lru_bound(self, rng, monkeypatch):
+        monkeypatch.setattr(decomposer_module, "_PROFILE_CACHE_MAX_ENTRIES", 4)
+        decomposer = NuOpDecomposer(seed=7, max_layers=0)
+        for _ in range(6):
+            decomposer.fidelity_profile(random_su4(rng), gate=CZ_GATE)
+        stats = profile_cache_stats()
+        assert stats["entries"] <= 4
 
     def test_label_propagates(self, shared_decomposer):
         decomposition = shared_decomposer.decompose_exact(rzz(0.4), gate=CZ_GATE, label="S3")

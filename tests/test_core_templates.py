@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.circuits.gate import named_gate
-from repro.compiler.tabulation import TabulationConfig, table_spec
 from repro.core import templates
 from repro.core.decomposer import NuOpDecomposer
 from repro.core.pipeline import _decomposer_fingerprint
@@ -157,10 +155,8 @@ class TestGradients:
 
 
 class TestObjectiveVersion:
-    def test_version_orphans_compile_and_table_keys(self, monkeypatch):
+    def test_version_orphans_compile_keys(self, monkeypatch):
         decomposer = NuOpDecomposer()
-        spec = table_spec(decomposer, named_gate("cz"), None, TabulationConfig(resolution=3))
-        fingerprint, cache_key = _decomposer_fingerprint(decomposer), spec.cache_key()
+        fingerprint = _decomposer_fingerprint(decomposer)
         monkeypatch.setattr(templates, "OBJECTIVE_VERSION", templates.OBJECTIVE_VERSION + 1)
         assert _decomposer_fingerprint(decomposer) != fingerprint
-        assert spec.cache_key() != cache_key

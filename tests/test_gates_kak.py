@@ -1,5 +1,8 @@
 """Tests for the KAK / Weyl local-equivalence machinery."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from repro.gates.kak import (
     min_gate_count,
     min_iswap_count,
     min_sqrt_iswap_count,
+    precise_weyl_coordinates,
     weyl_coordinates,
 )
 from repro.gates.parametric import canonical_gate, cphase, fsim, rzz, u3, xy
@@ -108,6 +112,73 @@ class TestWeylCoordinates:
         assert np.allclose(recovered, coords, atol=1e-3)
 
 
+def _pinned_inputs():
+    inputs = {
+        "identity": np.eye(4),
+        "cz": standard.CZ,
+        "cnot": standard.CNOT,
+        "iswap": standard.ISWAP,
+        "swap": standard.SWAP,
+        "sqrt_iswap": standard.SQRT_ISWAP,
+        "fsim(0.7,1.1)": fsim(0.7, 1.1),
+        "canonical(0.61,0.32,0.11)": canonical_gate(0.61, 0.32, 0.11),
+        "canonical(pi/4,pi/4,0)": canonical_gate(QUARTER, QUARTER, 0.0),
+        "canonical(pi/4,pi/4,pi/4)": canonical_gate(QUARTER, QUARTER, QUARTER),
+    }
+    rng = np.random.default_rng(1234)
+    for index in range(3):
+        inputs[f"random_su4(1234)[{index}]"] = random_su4(rng)
+    return inputs
+
+
+class TestPinnedCoordinates:
+    """``weyl_coordinates`` is bit-identical to the values captured before
+    its coarse chamber grid was generated in place instead of filtered out
+    of a full meshgrid (``tests/golden/weyl_coordinates.json``)."""
+
+    def test_outputs_match_golden_bits(self):
+        golden = json.loads(
+            (Path(__file__).parent / "golden" / "weyl_coordinates.json").read_text()
+        )["coordinates"]
+        inputs = _pinned_inputs()
+        assert set(inputs) == set(golden)
+        for name, matrix in inputs.items():
+            assert [float(v).hex() for v in weyl_coordinates(matrix)] == golden[name], name
+
+
+class TestPreciseWeylCoordinates:
+    """Eigenphase polish: exact on the degenerate faces where invariant
+    matching is only quadratically accurate."""
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (0.0, 0.0, 0.0),
+            (QUARTER, 0.0, 0.0),
+            (QUARTER, QUARTER, 0.0),
+            (QUARTER, QUARTER, QUARTER),
+            (QUARTER, np.pi / 12, np.pi / 12),  # fSim(pi/6, pi)
+            (np.pi / 6, np.pi / 6, 0.0),  # XY(2pi/3)
+            (0.5, 0.5, 0.2),
+            (0.5, 0.3, 0.3),
+            (0.5, 0.3, -0.3),
+            (0.4, 0.0, 0.0),
+            (QUARTER, 0.3, 0.1),
+            (0.61, 0.32, 0.11),
+        ],
+    )
+    def test_recovers_chamber_points(self, rng, point):
+        target = random_local(rng) @ canonical_gate(*point) @ random_local(rng)
+        assert np.allclose(precise_weyl_coordinates(target), point, atol=1e-12)
+
+    def test_random_targets_stay_in_the_same_class(self, rng):
+        for _ in range(20):
+            target = random_su4(rng)
+            point = precise_weyl_coordinates(target)
+            assert invariant_distance(canonical_gate(*point), target) < 1e-12
+            assert np.allclose(point, weyl_coordinates(target), atol=1e-6)
+
+
 class TestCanonicalInvariants:
     def test_closed_form_matches_eigenvalue_invariants(self, rng):
         for _ in range(5):
@@ -130,7 +201,7 @@ class TestCanonicalInvariants:
 
 
 class TestWeylRoundTrip:
-    """Round-trips through ``canonical_gate``: the tabulation grid relies on
+    """Round-trips through ``canonical_gate``:
     ``weyl_coordinates(canonical_gate(*c)) == c`` over the whole chamber."""
 
     @pytest.mark.parametrize(

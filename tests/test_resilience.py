@@ -296,7 +296,7 @@ class TestRetryPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Disk-tier fault paths (all three namespaces)
+# Disk-tier fault paths (compile and sim namespaces)
 # ---------------------------------------------------------------------------
 
 
@@ -316,11 +316,6 @@ class TestDiskFaultPaths:
                 lambda: disk.put_simulation(key, value),
                 lambda: disk.get_simulation(key),
             )
-        if family == "decomp":
-            return (
-                lambda: disk.put_decomposition_table(key, {"cells": [1, 2]}),
-                lambda: disk.get_decomposition_table(key),
-            )
         return (
             lambda: disk.put_blob("autotune", key, {"verdict": "default"}),
             lambda: disk.get_blob("autotune", key),
@@ -328,14 +323,14 @@ class TestDiskFaultPaths:
 
     def _counters(self, disk, family):
         stats = disk.stats()
-        prefix = {"compile": "", "sim": "sim_", "decomp": "decomp_"}[family]
+        prefix = {"compile": "", "sim": "sim_"}[family]
         return {
             "hits": stats[f"{prefix}hits"],
             "misses": stats[f"{prefix}misses"],
             "writes": stats[f"{prefix}writes"],
         }
 
-    @pytest.mark.parametrize("family", ["compile", "sim", "decomp"])
+    @pytest.mark.parametrize("family", ["compile", "sim"])
     @pytest.mark.parametrize("kind", ["enospc", "eacces", "eio"])
     def test_write_fault_drops_the_write_and_degrades_to_a_miss(
         self, tmp_path, family, kind
@@ -354,7 +349,7 @@ class TestDiskFaultPaths:
         assert counted["writes"] == 1
         assert counted["hits"] + counted["misses"] == 2
 
-    @pytest.mark.parametrize("family", ["compile", "sim", "decomp"])
+    @pytest.mark.parametrize("family", ["compile", "sim"])
     @pytest.mark.parametrize("kind", ["truncate", "eio"])
     def test_read_fault_is_a_recorded_miss_with_consistent_counters(
         self, tmp_path, family, kind
