@@ -1,4 +1,4 @@
-"""Parallel experiment execution engine.
+"""Experiment execution engine.
 
 Every headline result of the paper (Figures 6-11) is produced by the same
 ensemble workflow: compile every application circuit under every candidate
@@ -6,23 +6,13 @@ instruction set (optionally at several error scales), simulate the
 compiled circuit noisily, and score the measured distribution against the
 ideal one.  The legacy :func:`repro.experiments.runner.run_instruction_set_study`
 executed that workflow as a fully serial double loop; this module turns it
-into an explicit job graph executed by a configurable worker pool.
-
-Architecture
-------------
-
-A study decomposes into a small DAG per ``(circuit, instruction set,
-error scale)`` combination:
-
-* an **ideal node** per circuit (noiseless output distribution) -- shared
-  by every instruction set and error scale, served from a process-global
-  content-addressed cache;
-* a **compile node** per job -- served from the global
-  :class:`~repro.core.pipeline.CompilationCache`;
-* a **simulate node** per job, depending on the compile node and the
-  device calibration state;
-* a **score node** per job, depending on the simulate and ideal nodes;
-* a **merge node** folding scored jobs into a :class:`StudyResult`.
+into an explicit job graph.  Per ``(circuit, instruction set, error
+scale)`` job there is a **compile node** (served from the global
+:class:`~repro.core.pipeline.CompilationCache`), a **simulate node** and a
+**score node**; per circuit an **ideal node** (noiseless distribution,
+shared by every set and scale through a process-global content-addressed
+cache); and one **merge node** folding scored jobs into a
+:class:`StudyResult`.
 
 Determinism is the design constraint that shapes the schedule.  The
 device samples calibration data for gate types *lazily*, from a private
@@ -32,11 +22,20 @@ Compile nodes consequently execute serially in canonical order (the order
 the legacy double loop used), which is cheap because they are backed by
 the compilation cache.  Simulate/score nodes are *pure*: they read the
 device calibration but never advance any shared RNG (each job seeds its
-own generator from ``SimulationOptions.seed``), so they run concurrently
-on the worker pool, and the merge node folds results in canonical job
-order regardless of completion order.  ``workers=1`` and ``workers=N``
-are bit-identical, and both are bit-identical to the legacy serial loop
--- the property ``tests/test_engine_determinism.py`` pins down.
+own generator from ``SimulationOptions.seed``), so they run concurrently,
+and the merge node folds results in canonical job order regardless of
+completion order.  ``workers=1`` and ``workers=N`` are bit-identical, and
+both are bit-identical to the legacy serial loop -- the property
+``tests/test_engine_determinism.py`` pins down.
+
+**One executor.**  :func:`execute_study` runs every study, for
+:func:`run_study` and the ``repro serve`` daemon alike, as four phases
+per job -- *prepare* (compile + lower + key, the one order-sensitive
+phase), *fetch* (memory then disk tier), *execute* and *store* -- plus
+the *merge* fold; an :class:`ExecutionPolicy` holds what the two drivers
+do differently.  ``run_study``'s pool climbs down one process -> thread
+-> inline ladder (processes first: the kernels hold the GIL; payloads are
+the immutable noise program plus scalars, never the ``Device``).
 
 Simulate nodes are backed by a **simulation-result cache** with the same
 two-tier layout as compilation: a process-wide memory LRU plus the
@@ -49,13 +48,6 @@ and the simulation options -- so a warm re-run of a study, even in a
 fresh process, serves every simulate node from cache with **zero backend
 invocations** (`benchmarks/test_bench_sim_cache.py` proves it).
 
-Workers default to processes (simulation is dominated by small-matrix
-numpy kernels that hold the GIL); the engine transparently falls back to
-threads, and then to inline execution, when the platform cannot spawn or
-feed a process pool.  Worker payloads are the immutable noise program
-plus plain option scalars -- the engine no longer deep-copies the
-``Device`` per simulate job.
-
 Cold simulate nodes run the **fused superoperator kernels** by default
 (:mod:`repro.simulators.superop`); ``REPRO_SIM_KERNEL=reference``
 selects the pinned sequential replay instead (bit-identical to the
@@ -67,19 +59,22 @@ vectors.
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import threading
+import time
 import warnings
 from collections import OrderedDict
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -328,6 +323,9 @@ class ExperimentJob:
     circuit_index: int
     error_scale: float = 1.0
 
+    def __str__(self) -> str:
+        return f"{self.set_name}#{self.circuit_index}"
+
 
 @dataclass
 class StudyPlan:
@@ -371,48 +369,93 @@ unpicklable payloads as bare ``TypeError`` and fork refusal as
 fallback emits a warning (never silent) and eventually re-raises."""
 
 
-def _warn_executor_fallback(
-    executor_name: str,
-    error: BaseException,
-    fallback: str = "a slower executor",
-    counters: Optional[ResilienceCounters] = None,
-) -> None:
-    """One warning per degradation, always naming the cause and the target."""
-    count_executor_fallback()
-    if counters is not None:
-        counters.increment("executor_fallbacks")
-    warnings.warn(
-        f"experiment-engine {executor_name} failed ({type(error).__name__}: {error}); "
-        f"falling back to {fallback} and re-running the affected jobs",
-        RuntimeWarning,
-        stacklevel=3,
-    )
+class _PoolLadder:
+    """The one process -> thread -> inline executor ladder.
 
-
-def _build_study_pool(
-    workers: int, counters: Optional[ResilienceCounters] = None
-) -> Tuple[Optional[Executor], str]:
-    """Create the study's worker pool: process -> thread -> inline.
-
-    Each degradation step emits one :func:`_warn_executor_fallback`
-    warning naming the failed executor and its cause -- pool creation is
-    never allowed to fail silently (the pre-resilience code swallowed
-    both exceptions bare).  Returns the pool (or ``None`` for inline)
-    plus the executor kind surfaced in ``StudyResult.executor_kind``.
+    Opens the first pool that works.  A pool that fails -- at creation,
+    on a refused submit or with a broken worker -- is abandoned (queued
+    work cancelled, so an abandoned-but-alive pool stops competing for
+    cores) with one warning naming it, its cause and the next step, and
+    every uncollected task is re-submitted one step down.  At the inline
+    floor, and for a task failing with an :class:`InjectedFault`,
+    :meth:`result` runs the caller's ``inline`` thunk.  Tasks must be
+    pure (a re-run is bit-identical).
     """
-    try:
-        return ProcessPoolExecutor(max_workers=workers), "process"
-    except Exception as error:
-        _warn_executor_fallback(
-            "ProcessPoolExecutor", error, fallback="a thread pool", counters=counters
-        )
-    try:
-        return ThreadPoolExecutor(max_workers=workers), "thread"
-    except Exception as error:
-        _warn_executor_fallback(
-            "ThreadPoolExecutor", error, fallback="inline execution", counters=counters
-        )
-    return None, "inline"
+
+    _STEPS = ((ProcessPoolExecutor, "a thread pool"), (ThreadPoolExecutor, "inline execution"))
+
+    def __init__(self, workers: int, counters: Optional[ResilienceCounters] = None) -> None:
+        self._workers, self._counters, self._step = workers, counters, -1
+        self._tasks: Dict[object, Tuple] = {}
+        self._step_down()
+        self.kind = ("process", "thread", "inline")[self._step]
+
+    def _step_down(self, error: Optional[BaseException] = None) -> None:
+        while True:
+            if error is not None:
+                failed, fallback = self._STEPS[self._step]
+                count_executor_fallback()
+                if self._counters is not None:
+                    self._counters.increment("executor_fallbacks")
+                warnings.warn(
+                    f"experiment-engine {failed.__name__} failed "
+                    f"({type(error).__name__}: {error}); falling back to "
+                    f"{fallback} and re-running the affected jobs",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+            self._step += 1
+            self.pool: Optional[Executor] = None
+            self._futures: Dict[object, Future] = {}
+            try:
+                if self._step < len(self._STEPS):
+                    self.pool = self._STEPS[self._step][0](max_workers=self._workers)
+                return self._send(self._tasks)
+            except Exception as exc:
+                error = exc
+
+    def _send(self, tasks: Dict[object, Tuple]) -> None:
+        try:
+            for key, task in list(tasks.items()):
+                if self.pool is not None:
+                    self._futures[key] = self.pool.submit(*task)
+        except _EXECUTOR_FAILURES as error:
+            self.pool.shutdown(wait=False, cancel_futures=True)
+            self._step_down(error)
+
+    def submit(self, key: object, fn: Callable, *args) -> None:
+        self._tasks[key] = (fn, *args)
+        self._send({key: self._tasks[key]})
+
+    def result(self, key: object, inline: Callable[[], object]) -> object:
+        """The value of ``key``'s task, stepping down the ladder as pools fail."""
+        try:
+            while key in self._futures:
+                try:
+                    return self._futures[key].result()
+                except InjectedFault as error:
+                    # A transient *task* failure, not a pool failure.  (Real
+                    # transient task errors -- OSError and friends -- are
+                    # indistinguishable from pool failures and step down.)
+                    if self._counters is not None:
+                        self._counters.increment("retries")
+                    warnings.warn(
+                        f"resilience: re-running job {key} inline after "
+                        f"{type(error).__name__}: {error}",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                    break
+                except _EXECUTOR_FAILURES as error:
+                    self.pool.shutdown(wait=False, cancel_futures=True)
+                    self._step_down(error)
+            return inline()
+        finally:
+            self._tasks.pop(key, None)
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -445,8 +488,8 @@ def _simulate_job(
 
     The ``worker.task`` fault point is consulted here, before any
     simulation work, so an injected crash/failure models a worker dying
-    at task pickup -- both the pool path and the inline retry path
-    (:func:`execute_prepared_with_retry`) funnel through this function.
+    at task pickup -- both the pool path and every in-process run
+    (:func:`execute_prepared_simulation`) funnel through this function.
     """
     maybe_raise_fault("worker.task")
     return simulate_noise_program(
@@ -469,35 +512,29 @@ def run_parallel(
     shared mutable state (e.g. the Figure 6 decomposition cells).  Results
     are returned in input order, so output is independent of scheduling;
     ``function`` must be module-level (picklable) for process execution.
-    Falls back to threads, then to inline execution, when a process pool
-    is unavailable.
+    Runs on the study executor's ladder: processes, then threads, then
+    inline execution when a pool is unavailable or breaks.
     """
     effective = resolve_workers(workers)
     if effective <= 1 or len(argument_tuples) <= 1:
         return [function(*arguments) for arguments in argument_tuples]
-    for executor_class in (ProcessPoolExecutor, ThreadPoolExecutor):
-        try:
-            with executor_class(max_workers=effective) as pool:
-                futures = [pool.submit(function, *arguments) for arguments in argument_tuples]
-                return [future.result() for future in futures]
-        except _EXECUTOR_FAILURES as error:
-            _warn_executor_fallback(executor_class.__name__, error)
-            continue
-    return [function(*arguments) for arguments in argument_tuples]
+    ladder = _PoolLadder(effective)
+    try:
+        for index, arguments in enumerate(argument_tuples):
+            ladder.submit(index, function, *arguments)
+        return [
+            ladder.result(index, functools.partial(function, *arguments))
+            for index, arguments in enumerate(argument_tuples)
+        ]
+    finally:
+        ladder.close()
 
 
 # ---------------------------------------------------------------------------
-# Schedulable units
-#
-# ``run_study`` below decomposes into four phases that external schedulers
-# (notably the ``repro serve`` daemon, :mod:`repro.service`) drive job by
-# job: *prepare* (compile + lower + key), *fetch* (consult the two cache
-# tiers), *execute* (invoke the backend) and *store* (populate the tiers),
-# plus a *merge* fold at the end.  The functions are factored out rather
-# than inlined so a scheduler can interleave jobs from concurrent studies,
-# coalesce identical in-flight work on the shared cache keys, and still
-# produce bit-identical :class:`StudyResult` payloads -- ``run_study``
-# itself is just the serial canonical-order driver over these same units.
+# Schedulable units: prepare -> fetch -> execute -> store, then merge.
+# Separate module-level functions, always called through module globals,
+# so the executor can interleave jobs of concurrent studies and tracers
+# and tests can wrap each phase.
 # ---------------------------------------------------------------------------
 
 
@@ -639,31 +676,6 @@ def execute_prepared_simulation(prepared: PreparedJob) -> np.ndarray:
     return _simulate_job(*prepared.simulation_arguments())
 
 
-def execute_prepared_with_retry(
-    prepared: PreparedJob,
-    policy: Optional[RetryPolicy] = None,
-    counters: Optional[ResilienceCounters] = None,
-) -> np.ndarray:
-    """:func:`execute_prepared_simulation` under a retry policy.
-
-    Because the job is pure given its prepared ``NoiseProgram``, a retry
-    re-executes bit-identically: no device RNG advances, no cache key
-    changes -- the invariant that lets a chaos run render the same report
-    as a fault-free one.  Transient failures (``DEFAULT_RETRYABLE``) are
-    retried with deterministic backoff; deterministic errors propagate
-    on the first attempt.
-    """
-    job = prepared.job
-    return call_with_retry(
-        lambda: execute_prepared_simulation(prepared),
-        policy,
-        describe=(
-            f"job {job.set_name}#{job.circuit_index}@{job.error_scale:g}x"
-        ),
-        counters=counters,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Batched replay grouping (SimulationOptions.batch != 1)
 #
@@ -787,52 +799,282 @@ def store_simulation(
 
 
 def merge_study_results(
-    application: str,
-    metric_name: str,
-    metric: MetricFunction,
-    plan: StudyPlan,
-    ideal_by_index: Sequence[np.ndarray],
-    compiled: Dict[ExperimentJob, CompiledCircuit],
-    measured: Dict[ExperimentJob, np.ndarray],
+    application: str, metric_name: str, plan: StudyPlan, outcomes: Sequence[JobOutcome]
 ) -> StudyResult:
-    """Score and fold job results into a :class:`StudyResult`.
+    """Fold scored :func:`execute_study` outcomes into a :class:`StudyResult`.
 
-    Folds in canonical plan order regardless of the order ``measured``
-    was produced in, so the merged payload is independent of scheduling
+    Folds in canonical plan order regardless of the order the outcomes
+    were produced in, so the merged payload is independent of scheduling
     -- the property that makes warm service responses byte-identical to
     cold ones.
     """
     from repro.compiler.manager import aggregate_pass_stats, merge_aggregated_pass_stats
 
+    by_job = {outcome.job: outcome for outcome in outcomes}
     study = StudyResult(application=application, metric_name=metric_name)
     for set_name in plan.set_names:
-        result = InstructionSetResult(instruction_set=set_name, metric_name=metric_name)
-        for index in range(plan.num_circuits):
-            job = ExperimentJob(
-                set_name=set_name,
-                circuit_index=index,
-                error_scale=plan.error_scales.get(set_name, 1.0),
-            )
-            value = metric(measured[job], ideal_by_index[index])
-            job_compiled = compiled[job]
-            result.metric_values.append(float(value))
-            result.two_qubit_counts.append(job_compiled.two_qubit_gate_count)
-            result.swap_counts.append(job_compiled.num_swaps)
-            for label, count in job_compiled.gate_type_usage.items():
-                result.gate_type_usage[label] = result.gate_type_usage.get(label, 0) + count
-            result.pipeline_usage[job_compiled.pipeline_name] = (
-                result.pipeline_usage.get(job_compiled.pipeline_name, 0) + 1
-            )
-            merge_aggregated_pass_stats(
-                result.pass_stats, aggregate_pass_stats(job_compiled.pass_stats)
-            )
-        study.per_set[set_name] = result
+        study.per_set[set_name] = InstructionSetResult(
+            instruction_set=set_name, metric_name=metric_name
+        )
+    for job in plan.jobs():
+        result = study.per_set[job.set_name]
+        job_compiled, value = by_job[job].compiled, by_job[job].value
+        result.metric_values.append(value)
+        result.two_qubit_counts.append(job_compiled.two_qubit_gate_count)
+        result.swap_counts.append(job_compiled.num_swaps)
+        for label, count in job_compiled.gate_type_usage.items():
+            result.gate_type_usage[label] = result.gate_type_usage.get(label, 0) + count
+        result.pipeline_usage[job_compiled.pipeline_name] = (
+            result.pipeline_usage.get(job_compiled.pipeline_name, 0) + 1
+        )
+        merge_aggregated_pass_stats(
+            result.pass_stats, aggregate_pass_stats(job_compiled.pass_stats)
+        )
     return study
 
 
 # ---------------------------------------------------------------------------
-# Study execution
+# Study execution: the one executor behind run_study and repro serve
 # ---------------------------------------------------------------------------
+
+
+def _describe_run(units: Sequence[PreparedJob], batched: bool) -> str:
+    """Retry-warning name of one backend run over ``units``."""
+    job = units[0].job
+    if batched:
+        return f"batched replay pass ({len(units)} jobs)"
+    return f"job {job.set_name}#{job.circuit_index}@{job.error_scale:g}x"
+
+
+@dataclass
+class ExecutionPolicy:
+    """What the two study drivers do differently (see :func:`execute_study`).
+
+    ``run_study`` sets ``workers``: the study opens and owns a pool of
+    that size.  The serve daemon sets the rest: its shared thread pool,
+    the in-flight table that coalesces identical misses across requests
+    (:meth:`repro.service.dedup.InFlightTable.submit`), the coalescing
+    compile wrapper, the shard filter (unowned keys are deferred), the
+    halt predicate (draining, or past the monotonic ``deadline_at``,
+    which also bounds every wait) and its retry-warning wording.  The
+    batch cap is ``SimulationOptions.batch``.  The last three fields are
+    filled in while the study runs.
+    """
+
+    retry: RetryPolicy
+    workers: int = 1
+    executor: Optional[Executor] = None
+    inflight: Optional[object] = None
+    compile_fn: Optional[Callable[..., CompiledCircuit]] = None
+    owns: Optional[Callable[[Tuple], bool]] = None
+    draining: Callable[[], bool] = lambda: False
+    deadline_at: Optional[float] = None
+    describe: Callable[[Sequence[PreparedJob], bool], str] = _describe_run
+    counters: ResilienceCounters = field(default_factory=ResilienceCounters)
+    executor_kind: str = "inline"
+    batched_passes: List[int] = field(default_factory=list)
+
+    def halt_reason(self) -> Optional[str]:
+        if self.draining():
+            return "drained"
+        if self.deadline_at is not None and time.monotonic() >= self.deadline_at:
+            return "deadline"
+        return None
+
+
+class JobOutcome(NamedTuple):
+    """One job's result and score.  ``source``: ``memory``/``disk`` (cache
+    hit), ``backend`` (computed here), ``inflight`` (joined a concurrent
+    study's identical job); with no ``vector``: ``deferred``, ``drained``
+    or ``deadline`` (the halted ones were never compiled either)."""
+
+    job: ExperimentJob
+    source: str
+    vector: Optional[np.ndarray]
+    compiled: Optional[CompiledCircuit]
+    value: Optional[float]
+
+
+def _compute(units: Sequence[PreparedJob], policy: ExecutionPolicy) -> List[np.ndarray]:
+    """Backend vectors for owned misses, under the retry policy.
+
+    Jobs are pure given their prepared program, so a retried vector is
+    bit-identical to a first-try one.  With ``batch != 1`` the group
+    makes one vectorised pass; if the whole pass keeps failing it
+    degrades to per-job runs, each under a fresh budget -- identical
+    vectors either way (``tests/test_batched_replay.py``).
+    """
+    retry = functools.partial(call_with_retry, policy=policy.retry, counters=policy.counters)
+    if int(units[0].options.batch) != 1:
+        try:
+            vectors = retry(
+                lambda: execute_prepared_batch(units), describe=policy.describe(units, True)
+            )
+        except DEFAULT_RETRYABLE:
+            pass
+        else:
+            if len(units) > 1:
+                policy.batched_passes.append(len(units))
+            return vectors
+    return [
+        retry(
+            lambda unit=unit: execute_prepared_simulation(unit),
+            describe=policy.describe([unit], False),
+        )
+        for unit in units
+    ]
+
+
+def _run_owned(entries, policy: ExecutionPolicy, sim_disk, computed: set) -> None:
+    """Compute, store, then resolve a group of owned ``(unit, future)`` misses.
+
+    Store *before* resolve: an in-flight key retires when its future
+    resolves, and by then the tiers must already serve the result (no
+    gap for a third arrival to recompute in).  With an in-flight table
+    the tiers are re-checked first: the submit probe reads only the
+    memory tier, so a result an identical job stored that has since left
+    the memory LRU is still served from disk here.  A failure resolves
+    the waiters with the error instead of leaving them hanging.
+    """
+    try:
+        misses = list(entries)
+        if policy.inflight is not None:
+            misses = []
+            for unit, future in entries:
+                hit = fetch_cached_simulation(unit, sim_disk)
+                if hit is None:
+                    misses.append((unit, future))
+                else:
+                    future.set_result(hit[0])
+        if misses:
+            vectors = _compute([unit for unit, _ in misses], policy)
+            for (unit, future), vector in zip(misses, vectors):
+                computed.add(unit.job)
+                future.set_result(store_simulation(unit, vector, sim_disk))
+    except BaseException as error:
+        for _, future in entries:
+            if not future.done():
+                future.set_exception(error)
+        raise
+
+
+def execute_study(
+    plan: StudyPlan,
+    circuits: Sequence[QuantumCircuit],
+    device: Device,
+    instruction_sets: Dict[str, InstructionSet],
+    policy: ExecutionPolicy,
+    *,
+    metric: MetricFunction,
+    options: SimulationOptions,
+    sim_disk: Optional[object] = None,
+    **prepare_options,
+) -> Iterator[JobOutcome]:
+    """Run a study; yield one :class:`JobOutcome` per job, in canonical order.
+
+    Compile nodes run serially in canonical order (device RNG), each
+    followed by its tier lookup (``prepare_options`` go to
+    :func:`prepare_job`).  An owned miss then runs on a study-owned
+    ladder pool (``workers > 1``, ``batch == 1``) as soon as its compile
+    finishes, and is stored in this process when collected; or as a
+    task on the shared ``policy.executor`` that computes, stores and
+    resolves its future (per job at once; batched groups after the
+    loop); or inline after the loop.  Each measured job is scored with
+    ``metric`` against its circuit's ideal distribution.
+    """
+    jobs = plan.jobs()
+    # Ideal nodes: one per circuit, shared by every set and error scale.
+    ideals = [ideal_distribution_cached(circuit) for circuit in circuits]
+    batched = int(options.batch) != 1
+    ladder: Optional[_PoolLadder] = None
+    if policy.executor is None:
+        policy.executor_kind = "batched" if batched else "inline"
+        if not batched and policy.workers > 1 and len(jobs) > 1:
+            ladder = _PoolLadder(policy.workers, policy.counters)
+            policy.executor_kind = ladder.kind
+    slots: Dict[ExperimentJob, Tuple[str, object, Optional[PreparedJob]]] = {}
+    queued: List[Tuple[PreparedJob, Future]] = []
+    computed: set = set()
+    run = functools.partial(_run_owned, policy=policy, sim_disk=sim_disk, computed=computed)
+    dispatch = run if policy.executor is None else functools.partial(policy.executor.submit, run)
+
+    def own(unit: PreparedJob) -> Future:
+        # Runs as the in-flight table's schedule thunk (under its lock):
+        # it only enqueues, and a refused submit leaves no key behind.
+        future: Future = Future()
+        if policy.executor is not None and not batched:
+            dispatch([(unit, future)])
+        else:
+            queued.append((unit, future))
+        return future
+
+    try:
+        for job in jobs:
+            halted = policy.halt_reason()
+            if halted is not None:
+                slots[job] = (halted, None, None)
+                continue
+            unit = prepare_job(
+                job,
+                circuits[job.circuit_index],
+                device,
+                instruction_sets[job.set_name],
+                options=options,
+                compile_fn=policy.compile_fn,
+                **prepare_options,
+            )
+            hit = fetch_cached_simulation(unit, sim_disk)
+            if hit is not None:
+                slots[job] = (hit[1], hit[0], unit)
+            elif policy.owns is not None and not policy.owns(unit.cache_key):
+                slots[job] = ("deferred", None, unit)
+            elif ladder is not None:
+                ladder.submit(job, _simulate_job, *unit.simulation_arguments())
+                slots[job] = ("pool", None, unit)
+            elif policy.inflight is None:
+                slots[job] = ("owner", own(unit), unit)
+            else:
+                # The probe re-checks the memory tier under the table lock:
+                # an identical job may have stored its result and retired
+                # its key since the miss above, and owning it again would
+                # over-count started work.
+                future, owner = policy.inflight.submit(
+                    unit.cache_key,
+                    functools.partial(own, unit),
+                    probe=functools.partial(peek_simulation_memory, unit.cache_key),
+                )
+                source = {None: "memory", True: "owner", False: "inflight"}[owner]
+                slots[job] = (source, future, unit)
+        future_of = {id(unit): future for unit, future in queued}
+        units = [unit for unit, _ in queued]
+        for group in group_prepared_for_batch(units) if batched else [[u] for u in units]:
+            dispatch([(unit, future_of[id(unit)]) for unit in group])
+
+        # Collect in canonical order.  Futures already scheduled flush even
+        # during a drain; only the deadline abandons a wait (the job is
+        # reported "deadline" while its task still completes and caches).
+        for job in jobs:
+            source, value, unit = slots[job]
+            if source == "pool":
+                vector = ladder.result(job, lambda: _compute([unit], policy)[0])
+                source, value = "backend", store_simulation(unit, vector, sim_disk)
+            elif isinstance(value, Future):
+                deadline = policy.deadline_at
+                try:
+                    value = value.result(
+                        None if deadline is None else max(deadline - time.monotonic(), 0.001)
+                    )
+                except TimeoutError:
+                    source, value = "deadline", None
+                if source == "owner":
+                    # An owner answered by the tiers' re-check is a memory
+                    # hit, so `executed` equals real backend invocations.
+                    source = "backend" if job in computed else "memory"
+            score = None if value is None else float(metric(value, ideals[job.circuit_index]))
+            yield JobOutcome(job, source, value, unit.compiled if unit else None, score)
+    finally:
+        if ladder is not None:
+            ladder.close()
 
 
 def run_study(
@@ -847,7 +1089,6 @@ def run_study(
     approximate: bool = True,
     use_noise_adaptivity: bool = True,
     error_scales: Optional[Dict[str, float]] = None,
-    ideal_override: Optional[Callable[[QuantumCircuit], np.ndarray]] = None,
     workers: Optional[int] = 1,
     compilation_cache: Optional[CompilationCache] = None,
     pipeline: str = "default",
@@ -864,11 +1105,8 @@ def run_study(
     workers:
         Size of the simulation worker pool.  ``None``/1 runs everything
         inline; ``0`` uses every CPU core.  Output is bit-identical for
-        every value.  When ``options.batch != 1`` the pool is bypassed:
-        cache misses are grouped by :func:`batch_signature` and executed
-        as vectorised batched-replay passes instead (see the batched
-        replay section above), results landing under the same per-job
-        cache keys.
+        every value.  ``options.batch != 1`` bypasses the pool for
+        vectorised batched-replay passes (see :func:`execute_study`).
     compilation_cache:
         Cache for compile nodes (default: the process-global cache).
     pipeline:
@@ -895,236 +1133,50 @@ def run_study(
         bit-identical results).
     retry_policy:
         Bounds for re-executing failed simulate nodes (default:
-        :meth:`RetryPolicy.from_env`, i.e. the ``REPRO_RETRY_*`` knobs).
-        Transient failures -- injected faults, worker crashes, OS errors
-        -- re-execute inline; a broken process pool degrades to threads,
-        then to inline execution, each step warned once with its cause.
-        The study completes with a report bit-identical to a fault-free
-        run (simulate nodes are pure), surfacing what happened in
-        ``StudyResult.executor_kind`` / ``StudyResult.resilience``.
+        :meth:`RetryPolicy.from_env`, i.e. the ``REPRO_RETRY_*`` knobs);
+        a failing pool steps down the ladder instead.  The report is
+        bit-identical to a fault-free run (simulate nodes are pure);
+        ``StudyResult.executor_kind`` / ``.resilience`` say what happened.
     """
+    from repro.caching.disk import disk_cache_for, get_global_disk_cache
+
     decomposer = decomposer if decomposer is not None else NuOpDecomposer()
     options = options or SimulationOptions()
-    error_scales = error_scales or {}
     device = device_factory()
-    effective_workers = resolve_workers(workers)
+    policy = ExecutionPolicy(
+        retry=retry_policy if retry_policy is not None else RetryPolicy.from_env(),
+        workers=resolve_workers(workers),
+    )
     backend_obj = resolve_backend(backend if backend is not None else options.method)
-    disk_cache = None
-    if cache_dir is not None:
-        from repro.caching.disk import disk_cache_for
-
-        disk_cache = disk_cache_for(cache_dir)
-    from repro.caching.disk import get_global_disk_cache
-
-    sim_disk = disk_cache if disk_cache is not None else get_global_disk_cache()
-
+    disk_cache = disk_cache_for(cache_dir) if cache_dir is not None else None
     plan = StudyPlan(
         set_names=list(instruction_sets),
         num_circuits=len(circuits),
-        error_scales=dict(error_scales),
+        error_scales=dict(error_scales or {}),
     )
-    jobs = plan.jobs()
-
-    # Ideal nodes: one per circuit, shared by every set and error scale.
-    if ideal_override is not None:
-        ideal_by_index = [ideal_override(circuit) for circuit in circuits]
-    else:
-        ideal_by_index = [ideal_distribution_cached(circuit) for circuit in circuits]
-
-    # Compile nodes: serial, canonical order (device RNG determinism).
-    # Simulate nodes: looked up in the simulation-result cache (memory ->
-    # disk); misses are submitted to the pool as soon as their compile
-    # node finishes, so simulation overlaps the remaining compilations.
-    # The pool payload is the immutable noise program plus scalars -- the
-    # Device itself never crosses the worker boundary (the engine used to
-    # deep-copy it per job).
-    # Batched replay (options.batch != 1): cache misses are grouped by
-    # batch_signature and executed as vectorised backend passes inline,
-    # instead of fanning individual jobs out to a worker pool -- on this
-    # container one stacked contraction beats process parallelism.
-    batching = int(options.batch) != 1
-    policy = retry_policy if retry_policy is not None else RetryPolicy.from_env()
-    resilience = ResilienceCounters()
-    pool: Optional[Executor] = None
-    executor_kind = "batched" if batching else "inline"
-    if not batching and effective_workers > 1 and len(jobs) > 1:
-        pool, executor_kind = _build_study_pool(effective_workers, resilience)
-
-    prepared: Dict[ExperimentJob, PreparedJob] = {}
-    measured: Dict[ExperimentJob, np.ndarray] = {}
-    cached_jobs = set()
-    futures = {}
-    submit_rejected = False
-    try:
-        for job in jobs:
-            unit = prepare_job(
-                job,
-                circuits[job.circuit_index],
-                device,
-                instruction_sets[job.set_name],
-                decomposer=decomposer,
-                options=options,
-                approximate=approximate,
-                use_noise_adaptivity=use_noise_adaptivity,
-                pipeline=pipeline,
-                compilation_cache=compilation_cache,
-                disk_cache=disk_cache,
-                backend=backend_obj,
-            )
-            prepared[job] = unit
-            hit = fetch_cached_simulation(unit, sim_disk)
-            if hit is not None:
-                measured[job] = hit[0]
-                cached_jobs.add(job)
-                continue
-            if pool is not None and not submit_rejected:
-                try:
-                    futures[job] = pool.submit(
-                        _simulate_job, *unit.simulation_arguments()
-                    )
-                except _EXECUTOR_FAILURES as error:
-                    # The pool died between submits (a worker crashing
-                    # while the prepare loop is still compiling).  Stop
-                    # feeding it: jobs never submitted flow into the
-                    # inline recovery sweep, and futures already in
-                    # flight are collected below -- results resolved
-                    # before the break survive, pending ones re-raise
-                    # there and take the thread/inline fallback.
-                    submit_rejected = True
-                    _warn_executor_fallback(
-                        type(pool).__name__,
-                        error,
-                        fallback="the recovery sweep",
-                        counters=resilience,
-                    )
-
-        if batching:
-            miss_units = [prepared[job] for job in jobs if job not in measured]
-            for group in group_prepared_for_batch(miss_units):
-                try:
-                    vectors = call_with_retry(
-                        lambda group=group: execute_prepared_batch(group),
-                        policy,
-                        describe=f"batched replay pass ({len(group)} jobs)",
-                        counters=resilience,
-                    )
-                except DEFAULT_RETRYABLE:
-                    # The whole pass kept failing: degrade to per-job
-                    # execution, each job under a fresh retry budget.
-                    # Identical vectors either way (batch equivalence is
-                    # pinned by tests/test_batched_replay.py).
-                    vectors = [
-                        execute_prepared_with_retry(unit, policy, resilience)
-                        for unit in group
-                    ]
-                for unit, vector in zip(group, vectors):
-                    measured[unit.job] = vector
-
-        if pool is not None and futures:
-            broken: Optional[BaseException] = None
-            for job in jobs:
-                if job not in futures:
-                    continue
-                try:
-                    measured[job] = futures[job].result()
-                except InjectedFault as error:
-                    # A transient *task* failure, not a pool failure: leave
-                    # the job unmeasured so the inline sweep below re-runs
-                    # it under the retry policy.  (Real transient task
-                    # errors -- OSError and friends -- are indistinguishable
-                    # from pool failures and take the fallback path.)
-                    resilience.increment("retries")
-                    warnings.warn(
-                        f"resilience: re-running job {job.set_name}"
-                        f"#{job.circuit_index} inline after "
-                        f"{type(error).__name__}: {error}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                except _EXECUTOR_FAILURES as error:
-                    # Pool died (broken process, unpicklable payload):
-                    # stop collecting and recover below.  Simulation is
-                    # pure, so results already retrieved (and cache hits)
-                    # are unchanged.
-                    broken = error
-                    break
-            if broken is not None:
-                # The re-runs below own the remaining jobs now; cancel
-                # whatever is still queued so an abandoned-but-alive pool
-                # (an injected crash reports broken while workers keep
-                # draining the queue) stops competing for cores and the
-                # final shutdown does not wait on work nobody collects.
-                pool.shutdown(wait=False, cancel_futures=True)
-                remaining = [
-                    job for job in jobs if job in futures and job not in measured
-                ]
-                if executor_kind == "process" and len(remaining) > 1:
-                    # Degrade one level: re-run the survivors on threads;
-                    # a second failure falls through to the inline sweep.
-                    _warn_executor_fallback(
-                        type(pool).__name__,
-                        broken,
-                        fallback="a thread pool",
-                        counters=resilience,
-                    )
-                    try:
-                        with ThreadPoolExecutor(
-                            max_workers=effective_workers
-                        ) as retry_pool:
-                            refutures = {
-                                job: retry_pool.submit(
-                                    execute_prepared_with_retry,
-                                    prepared[job],
-                                    policy,
-                                    resilience,
-                                )
-                                for job in remaining
-                            }
-                            for job in remaining:
-                                measured[job] = refutures[job].result()
-                    except _EXECUTOR_FAILURES as error:
-                        _warn_executor_fallback(
-                            "ThreadPoolExecutor",
-                            error,
-                            fallback="inline execution",
-                            counters=resilience,
-                        )
-                else:
-                    _warn_executor_fallback(
-                        type(pool).__name__,
-                        broken,
-                        fallback="inline execution",
-                        counters=resilience,
-                    )
-        for job in jobs:
-            if job not in measured:
-                measured[job] = execute_prepared_with_retry(
-                    prepared[job], policy, resilience
-                )
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    # Populate the simulation-result cache tiers with freshly computed
-    # vectors (cache hits are already stored; re-writing them would break
-    # the CI warm-start "no file changed" check).
-    for job in jobs:
-        if job in cached_jobs:
-            continue
-        measured[job] = store_simulation(prepared[job], measured[job], sim_disk)
-
-    study = merge_study_results(
-        application,
-        metric_name,
-        metric,
-        plan,
-        ideal_by_index,
-        {job: unit.compiled for job, unit in prepared.items()},
-        measured,
+    outcomes = list(
+        execute_study(
+            plan,
+            circuits,
+            device,
+            instruction_sets,
+            policy,
+            metric=metric,
+            options=options,
+            sim_disk=disk_cache if disk_cache is not None else get_global_disk_cache(),
+            decomposer=decomposer,
+            approximate=approximate,
+            use_noise_adaptivity=use_noise_adaptivity,
+            pipeline=pipeline,
+            compilation_cache=compilation_cache,
+            disk_cache=disk_cache,
+            backend=backend_obj,
+        )
     )
+    study = merge_study_results(application, metric_name, plan, outcomes)
     # Surface what actually executed the study.  Metadata only: rows()
     # and format_table() deliberately exclude both fields, so reports
     # stay byte-identical across executor kinds and retry histories.
-    study.executor_kind = executor_kind
-    study.resilience = resilience.snapshot()
+    study.executor_kind = policy.executor_kind
+    study.resilience = policy.counters.snapshot()
     return study

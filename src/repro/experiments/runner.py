@@ -381,7 +381,6 @@ def run_instruction_set_study(
     approximate: bool = True,
     use_noise_adaptivity: bool = True,
     error_scales: Optional[Dict[str, float]] = None,
-    ideal_override: Optional[Callable[[QuantumCircuit], np.ndarray]] = None,
     workers: Optional[int] = 1,
     pipeline: str = "default",
     cache_dir: Optional[str] = None,
@@ -418,7 +417,6 @@ def run_instruction_set_study(
         approximate=approximate,
         use_noise_adaptivity=use_noise_adaptivity,
         error_scales=error_scales,
-        ideal_override=ideal_override,
         workers=workers,
         pipeline=pipeline,
         cache_dir=cache_dir,

@@ -14,29 +14,19 @@ daemon buys over one-shot ``repro fig10`` invocations:
   with ``--shard k/N`` against a common cache directory split a study's
   simulation work by key range without any coordination protocol.
 
-The container this runs in is single-CPU: the win is deduplication and
-cache residency, not parallelism.  ``exec_workers`` therefore defaults
-to 1; raising it only helps when backend invocations block on something
-other than the CPU.
+The win is deduplication and cache residency, not parallelism:
+backend invocations are CPU-bound numpy kernels that hold the GIL, so
+``exec_workers`` defaults to 1 and raising it only helps when they block
+on something other than the CPU.
 
-Execution model per request (:meth:`StudyService.run_study_spec`):
-
-1. *Build* the study from the spec's registry names.  Instruction-set
-   catalogues and application suites are shared across requests (so are
-   the suite circuits' memoised digests); the device is fresh per
-   request -- determinism requires each study to sample calibration
-   through its own RNG in canonical order -- but its calibration
-   fingerprints are process-wide memo hits (``docs/service.md``).
-2. *Prepare* every job serially in canonical order.  Compiles route
-   through :meth:`~repro.service.dedup.InFlightTable.coalesce`, so an
-   identical compile already running in another request is awaited and
-   replayed rather than recomputed.
-3. *Resolve* each job: cache tiers first (memory, then disk), then the
-   in-flight table (attach to a concurrent identical simulation), then
-   -- if this service's shard owns the key -- schedule the backend
-   invocation; out-of-shard misses are deferred.
-4. *Stream* one NDJSON ``job`` record per job in canonical order, then
-   the deterministic ``study`` record, then a ``stats`` record.
+Per request (:meth:`StudyService.run_study_spec`) the daemon *builds* the
+study from the spec's registry names (catalogues and suites shared across
+requests; the device fresh, because its calibration RNG is per-study
+state -- ``docs/service.md``), runs it on the engine's one executor,
+:func:`repro.experiments.engine.execute_study`, under a policy lending it
+the daemon's thread pool, in-flight tables, shard filter and
+drain/deadline halt, and streams one NDJSON ``job`` record per job in
+canonical order, then the deterministic ``study`` record, then ``stats``.
 
 The HTTP layer is stdlib-only (``http.server``): POST ``/v1/studies``
 streams the NDJSON response; GET ``/v1/stats`` and ``/v1/health`` return
@@ -61,7 +51,7 @@ import signal
 import threading
 import time
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Iterator, Optional
 
@@ -70,7 +60,6 @@ from repro.resilience import (
     InjectedFault,
     ResilienceCounters,
     RetryPolicy,
-    call_with_retry,
     consult_fault,
     fault_stats,
     retry_stats,
@@ -105,6 +94,13 @@ def _shared_suite(
     from repro.applications.registry import build_suite
 
     return tuple(build_suite(application, num_qubits, num_circuits, seed))
+
+
+def _describe_serve_run(units, batched: bool) -> str:
+    """Retry-warning name of one backend run, in the daemon's wording."""
+    if batched:
+        return f"serve batched pass ({len(units)} jobs)"
+    return f"serve job {units[0].job.set_name}#{units[0].job.circuit_index}"
 
 
 class ServiceDraining(RuntimeError):
@@ -413,303 +409,107 @@ class StudyService:
     def _stream_study(
         self, spec: StudySpec, parts: Dict[str, object]
     ) -> Iterator[Dict[str, object]]:
+        """Map the shared executor's outcomes to ``job``/``study``/``stats`` records."""
+        from repro.experiments.engine import (
+            ExecutionPolicy,
+            StudyPlan,
+            execute_study,
+            merge_study_results,
+        )
+
         # Generator body: runs lazily, so active-request tracking starts
         # at the first record pull and ends (via finally) when the stream
         # is exhausted or closed -- exactly the window drain() must wait
         # out.
         self._begin_request()
         try:
-            yield from self._stream_study_inner(spec, parts)
-        finally:
-            self._end_request()
-
-    def _stream_study_inner(
-        self, spec: StudySpec, parts: Dict[str, object]
-    ) -> Iterator[Dict[str, object]]:
-        from repro.experiments.engine import (
-            ExperimentJob,
-            PreparedJob,
-            StudyPlan,
-            execute_prepared_batch,
-            execute_prepared_simulation,
-            fetch_cached_simulation,
-            group_prepared_for_batch,
-            ideal_distribution_cached,
-            merge_study_results,
-            peek_simulation_memory,
-            prepare_job,
-            store_simulation,
-        )
-
-        plan = StudyPlan(
-            set_names=list(parts["instruction_sets"]),
-            num_circuits=len(parts["circuits"]),
-            error_scales=dict(parts["error_scales"]),
-        )
-        jobs = plan.jobs()
-        ideal_by_index = [
-            ideal_distribution_cached(circuit) for circuit in parts["circuits"]
-        ]
-
-        compile_fn = self._coalescing_compile_fn()
-        prepared: Dict[ExperimentJob, PreparedJob] = {}
-        # Values are source strings; scheduled jobs hold a transient
-        # ("owner", invoked) marker until their future resolves.
-        sources: Dict[ExperimentJob, object] = {}
-        measured: Dict[ExperimentJob, object] = {}
-        futures: Dict[ExperimentJob, Future] = {}
-        # Batched mode (self.batch != 1): owned misses queue here as
-        # (unit, job_future, invoked) instead of going to the executor one
-        # by one; after the prepare loop they are grouped by structure and
-        # each group runs as one vectorised backend pass.
-        pending_batch = []
-        request_batch = {"passes": 0}
-        request_resilience = ResilienceCounters()
-        deadline_at = (
-            time.monotonic() + self.request_deadline
-            if self.request_deadline is not None
-            else None
-        )
-
-        def halt_reason() -> Optional[str]:
-            """Why this request must stop scheduling new work, if at all."""
-            if self.draining:
-                return "drained"
-            if deadline_at is not None and time.monotonic() >= deadline_at:
-                return "deadline"
-            return None
-
-        # Prepare serially in canonical order (device RNG), resolving each
-        # job against the tiers as soon as it is prepared so in-flight
-        # submissions overlap the remaining compiles.  A drain or an
-        # expired deadline stops *scheduling*: jobs not yet prepared are
-        # reported unscored (source "drained"/"deadline") while futures
-        # already in flight still flush below.
-        for job in jobs:
-            halted = halt_reason()
-            if halted is not None:
-                sources[job] = halted
-                continue
-            unit = prepare_job(
-                job,
-                parts["circuits"][job.circuit_index],
+            plan = StudyPlan(
+                set_names=list(parts["instruction_sets"]),
+                num_circuits=len(parts["circuits"]),
+                error_scales=dict(parts["error_scales"]),
+            )
+            deadline = self.request_deadline
+            policy = ExecutionPolicy(
+                retry=self.retry_policy,
+                executor=self._executor,
+                inflight=self._simulations,
+                compile_fn=self._coalescing_compile_fn(),
+                owns=self.shard.owns if self.shard is not None else None,
+                draining=self._draining.is_set,
+                deadline_at=None if deadline is None else time.monotonic() + deadline,
+                describe=_describe_serve_run,
+            )
+            outcomes = execute_study(
+                plan,
+                parts["circuits"],
                 parts["device"],
-                parts["instruction_sets"][job.set_name],
+                parts["instruction_sets"],
+                policy,
+                metric=parts["metric"],
                 options=parts["options"],
+                sim_disk=self._sim_disk,
                 pipeline=spec.pipeline,
                 disk_cache=self._sim_disk,
                 backend=parts["backend"],
-                compile_fn=compile_fn,
             )
-            prepared[job] = unit
-            hit = fetch_cached_simulation(unit, self._sim_disk)
-            if hit is not None:
-                measured[job], sources[job] = hit
-                continue
-            if self.shard is not None and not self.shard.owns(unit.cache_key):
-                sources[job] = "deferred"
-                continue
+            sources, scored = [], []
+            for index, outcome in enumerate(outcomes):
+                job, source = outcome.job, outcome.source
+                record: Dict[str, object] = {
+                    "type": "job",
+                    "index": index,
+                    "set": job.set_name,
+                    "circuit": job.circuit_index,
+                    "error_scale": job.error_scale,
+                    "source": source,
+                    "value": outcome.value,
+                }
+                if outcome.value is not None:
+                    scored.append(outcome)
+                sources.append(source)
+                with self._lock:
+                    self._counters["jobs"] += 1
+                    self._counters[f"jobs_{source}"] += 1
+                yield record
 
-            invoked = {"backend": False}
-
-            if self.batch != 1:
-                # Register a bare per-job future under the cache key so
-                # concurrent identical jobs still coalesce onto it; the
-                # owner's group task resolves it (store-before-resolve,
-                # like the per-job path) once the batch executes.
-                job_future: Future = Future()
-
-                def schedule(job_future=job_future):
-                    return job_future
-
-            else:
-
-                def task(unit=unit, invoked=invoked):
-                    # Re-check the tiers first: the submit probe below
-                    # reads only the memory tier, so a result an identical
-                    # job stored that has since left the memory LRU is
-                    # still served from disk here.
-                    hit = fetch_cached_simulation(unit, self._sim_disk)
-                    if hit is not None:
-                        return hit[0]
-                    invoked["backend"] = True
-                    # Retry under the service policy: the job is pure given
-                    # its prepared program, so a retried vector is
-                    # bit-identical to a first-try one.
-                    vector = call_with_retry(
-                        lambda: execute_prepared_simulation(unit),
-                        self.retry_policy,
-                        describe=(
-                            f"serve job {unit.job.set_name}#{unit.job.circuit_index}"
-                        ),
-                        counters=request_resilience,
-                    )
-                    # Store *before* the future resolves: the in-flight key
-                    # retires on completion, and by then the tiers must
-                    # already serve the result (no gap for a third arrival
-                    # to recompute in).
-                    return store_simulation(unit, vector, self._sim_disk)
-
-                def schedule(task=task):
-                    return self._executor.submit(task)
-
-            # The probe re-checks the memory tier under the table lock: an
-            # identical job may have stored its result and retired its key
-            # since this request's miss above, and owning it again would
-            # over-count started work.
-            future, owner = self._simulations.submit(
-                unit.cache_key,
-                schedule,
-                probe=functools.partial(peek_simulation_memory, unit.cache_key),
-            )
-            if owner is None:
-                measured[job], sources[job] = future.result(), "memory"
-                continue
-            if owner and self.batch != 1:
-                pending_batch.append((unit, job_future, invoked))
-            # Source is resolved after the future completes: an owner whose
-            # task found the tiers already populated reports the cache, not
-            # the backend, so per-request `executed` equals real backend
-            # invocations.
-            sources[job] = ("owner", invoked) if owner else "inflight"
-            futures[job] = future
-
-        if pending_batch:
-            entry_for = {id(entry[0]): entry for entry in pending_batch}
-
-            def run_group(group):
-                entries = [entry_for[id(unit)] for unit in group]
-                try:
-                    remaining = []
-                    for unit, job_future, invoked in entries:
-                        # Re-check the tiers (same reason as the per-job
-                        # task): a concurrent request may have stored this
-                        # key after our miss.
-                        hit = fetch_cached_simulation(unit, self._sim_disk)
-                        if hit is not None:
-                            job_future.set_result(hit[0])
-                        else:
-                            remaining.append((unit, job_future, invoked))
-                    if not remaining:
-                        return
-                    remaining_units = [unit for unit, _, _ in remaining]
-                    vectors = call_with_retry(
-                        lambda: execute_prepared_batch(remaining_units),
-                        self.retry_policy,
-                        describe=(
-                            f"serve batched pass ({len(remaining_units)} jobs)"
-                        ),
-                        counters=request_resilience,
-                    )
-                    if len(remaining) > 1:
-                        with self._lock:
-                            self._counters["batched_passes"] += 1
-                            request_batch["passes"] += 1
-                    for (unit, job_future, invoked), vector in zip(
-                        remaining, vectors
-                    ):
-                        invoked["backend"] = True
-                        job_future.set_result(
-                            store_simulation(unit, vector, self._sim_disk)
-                        )
-                except BaseException as error:  # resolve waiters, don't hang
-                    for _, job_future, _ in entries:
-                        if not job_future.done():
-                            job_future.set_exception(error)
-
-            # One executor task per structure group: each group is a
-            # single vectorised pass (singletons fall back to the
-            # sequential path inside execute_prepared_batch).
-            for group in group_prepared_for_batch(
-                [entry[0] for entry in pending_batch]
-            ):
-                self._executor.submit(run_group, group)
-
-        # Collect and stream per-job records in canonical order.  Futures
-        # already scheduled flush even during a drain (the graceful-drain
-        # contract); only the per-request deadline abandons a wait, and
-        # then the job is reported as "deadline" with no value while its
-        # task still completes (and caches its result) in the executor.
-        deferred = 0
-        halted_jobs = 0
-        for index, job in enumerate(jobs):
-            if job in futures:
-                try:
-                    if deadline_at is not None:
-                        remaining = deadline_at - time.monotonic()
-                        measured[job] = futures[job].result(
-                            timeout=max(remaining, 0.001)
-                        )
-                    else:
-                        measured[job] = futures[job].result()
-                except TimeoutError:
-                    sources[job] = "deadline"
-            if isinstance(sources[job], tuple):
-                _, invoked_flag = sources[job]
-                # A rare owner whose task was answered by the tiers (see
-                # the re-check in `task`) counts as a memory hit.
-                sources[job] = "backend" if invoked_flag["backend"] else "memory"
-            source = sources[job]
-            record: Dict[str, object] = {
-                "type": "job",
-                "index": index,
-                "set": job.set_name,
-                "circuit": job.circuit_index,
-                "error_scale": job.error_scale,
-                "source": source,
-                "value": None,
+            deferred = sources.count("deferred")
+            halted_jobs = sources.count("drained") + sources.count("deadline")
+            complete = deferred == 0 and halted_jobs == 0
+            study_record: Dict[str, object] = {
+                "type": "study",
+                "fingerprint": spec.fingerprint(),
+                "application": spec.application,
+                "metric": parts["metric_name"],
+                "complete": complete,
+                "deferred": deferred,
+                "drained": halted_jobs,
             }
-            if source == "deferred":
-                deferred += 1
-            elif source in ("drained", "deadline"):
-                halted_jobs += 1
-            else:
-                record["value"] = float(
-                    parts["metric"](measured[job], ideal_by_index[job.circuit_index])
+            if complete:
+                study = merge_study_results(
+                    spec.application, parts["metric_name"], plan, scored
                 )
+                study_record["rows"] = study.rows()
+                study_record["table"] = study.format_table()
+            passes = len(policy.batched_passes)
             with self._lock:
-                self._counters["jobs"] += 1
-                self._counters[f"jobs_{source}"] += 1
-            yield record
-
-        complete = deferred == 0 and halted_jobs == 0
-        study_record: Dict[str, object] = {
-            "type": "study",
-            "fingerprint": spec.fingerprint(),
-            "application": spec.application,
-            "metric": parts["metric_name"],
-            "complete": complete,
-            "deferred": deferred,
-            "drained": halted_jobs,
-        }
-        if complete:
-            study = merge_study_results(
-                spec.application,
-                parts["metric_name"],
-                parts["metric"],
-                plan,
-                ideal_by_index,
-                {job: unit.compiled for job, unit in prepared.items()},
-                measured,
-            )
-            study_record["rows"] = study.rows()
-            study_record["table"] = study.format_table()
-        with self._lock:
-            self._counters["studies"] += 1
-        for key, amount in request_resilience.snapshot().items():
-            self._resilience.increment(key, amount)
-        yield study_record
-        yield {
-            "type": "stats",
-            "executed": sum(1 for s in sources.values() if s == "backend"),
-            "coalesced": sum(1 for s in sources.values() if s == "inflight"),
-            "from_memory": sum(1 for s in sources.values() if s == "memory"),
-            "from_disk": sum(1 for s in sources.values() if s == "disk"),
-            "deferred": deferred,
-            "drained": halted_jobs,
-            "retries": request_resilience.get("retries"),
-            "batched_passes": request_batch["passes"],
-        }
+                self._counters["studies"] += 1
+                self._counters["batched_passes"] += passes
+            for key, amount in policy.counters.snapshot().items():
+                self._resilience.increment(key, amount)
+            yield study_record
+            yield {
+                "type": "stats",
+                "executed": sources.count("backend"),
+                "coalesced": sources.count("inflight"),
+                "from_memory": sources.count("memory"),
+                "from_disk": sources.count("disk"),
+                "deferred": deferred,
+                "drained": halted_jobs,
+                "retries": policy.counters.get("retries"),
+                "batched_passes": passes,
+            }
+        finally:
+            self._end_request()
 
     # -- introspection -------------------------------------------------------
 

@@ -828,6 +828,44 @@ class TestServeResilience:
         assert resilience["requests"]["retries"] >= 1
         assert resilience["faults"]["injected"] == {"backend.run": {"fail": 1}}
 
+    def test_batched_pass_exhaustion_degrades_to_per_job(self, cold_engine):
+        # The first group's vectorised pass fails on every attempt of its
+        # budget; the daemon must fall back to per-job runs (as run_study
+        # does) instead of failing the request.
+        spec = StudySpec(
+            application="qv",
+            num_qubits=3,
+            num_circuits=2,
+            sets=("FullfSim",),
+            error_scales=(1.0, 2.0, 3.0),
+            shots=600,
+        )
+        policy = RetryPolicy(max_attempts=3, base_delay=0.001, seed=2)
+        service = StudyService(batch=0, retry_policy=policy)
+        try:
+            baseline = list(service.run_study_spec(spec))
+        finally:
+            service.close()
+
+        clear_experiment_caches()
+        reset_backend_invocation_counts()
+        reset_retry_stats()
+        configure_fault_plan(
+            "backend.run:fail@1;backend.run:fail@2;backend.run:fail@3"
+        )
+        chaos_service = StudyService(batch=0, retry_policy=policy)
+        try:
+            with pytest.warns(RuntimeWarning, match="retry budget of 3 exhausted"):
+                chaos = list(chaos_service.run_study_spec(spec))
+        finally:
+            chaos_service.close()
+
+        assert _study_line(chaos) == _study_line(baseline)
+        assert chaos[-1]["type"] == "stats"
+        assert chaos[-1]["retries"] >= 1
+        requests = chaos_service.stats()["resilience"]["requests"]
+        assert requests == {"attempts": 7, "retries": 2, "exhausted": 1}
+
     def test_handler_fault_rejects_up_front_then_recovers(self, cold_engine):
         configure_fault_plan("serve.handler:reject@1")
         service = StudyService()

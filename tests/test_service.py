@@ -565,6 +565,48 @@ class TestBatchedService:
             StudyService(batch=-2)
 
 
+class TestDaemonEqualsLibrary:
+    """The daemon's ``study`` record equals ``run_study`` on the same study."""
+
+    @pytest.mark.parametrize("batch", [1, 0])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, dict(sets=("FullfSim",), error_scales=(1.0, 2.0, 3.0))],
+        ids=["plain", "sweep"],
+    )
+    def test_study_record_equals_run_study(self, cold_engine, batch, overrides):
+        from repro.devices.synthetic import synthetic_device
+        from repro.experiments.engine import run_study
+
+        spec = _small_spec(**overrides)
+        service = StudyService(batch=batch)
+        try:
+            records = list(service.run_study_spec(spec))
+            parts = service.build_study(spec)
+        finally:
+            service.close()
+        (study_record,) = [r for r in records if r["type"] == "study"]
+
+        clear_experiment_caches()
+        study = run_study(
+            spec.application,
+            parts["circuits"],
+            parts["metric_name"],
+            parts["metric"],
+            lambda: synthetic_device(
+                max(spec.num_qubits, 2), spec.topology, seed=spec.device_seed
+            ),
+            parts["instruction_sets"],
+            options=parts["options"],
+            error_scales=parts["error_scales"],
+            pipeline=spec.pipeline,
+            backend=parts["backend"],
+        )
+        assert study_record["complete"] is True
+        assert study_record["rows"] == study.rows()
+        assert study_record["table"] == study.format_table()
+
+
 class TestSharding:
     def test_shard_defers_out_of_shard_misses(self, cold_engine, tmp_path):
         cache_dir = str(tmp_path / "shared")
