@@ -1,4 +1,4 @@
-"""Persistent caching tiers for the compilation toolflow."""
+"""Caching tiers: the in-process LRU registry (`lru`) and the persistent disk tier."""
 
 from repro.caching.disk import (
     DISK_CACHE_SCHEMA_VERSION,

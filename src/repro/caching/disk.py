@@ -1,6 +1,6 @@
 """Persistent on-disk compilation *and simulation* cache (the disk tier).
 
-The in-memory :class:`~repro.core.pipeline.CompilationCache` dies with the
+The in-memory :func:`~repro.core.pipeline.global_compilation_cache` dies with the
 process, so every fresh CLI invocation, CI job or worker re-pays the full
 NuOp compilation cost.  On single-CPU hosts that cost dominates study wall
 time; this module makes it a one-time cost per *machine* instead of per
@@ -577,8 +577,8 @@ def _default_max_bytes() -> Optional[int]:
     Re-read on every access (like ``REPRO_CACHE_DIR``).  Invalid values
     -- non-numeric, zero or negative -- are ignored with a warning rather
     than silently capping the cache at nothing
-    (:func:`repro.config.positive_int_env`, the policy every cache-bound
-    variable shares).
+    (:func:`repro.config.positive_int_env`, the policy every integer knob
+    shares).
     """
     from repro.config import positive_int_env
 

@@ -262,23 +262,13 @@ def _in_process_cache_report() -> str:
     notebooks, test harnesses) where studies have already run, and to make
     the previously invisible ideal-distribution cache inspectable at all.
     """
-    from repro.compiler.autotune import global_tuner_cache
-    from repro.core.decomposer import profile_cache_stats
-    from repro.core.pipeline import global_compilation_cache
-    from repro.experiments.engine import ideal_cache_stats, simulation_cache_stats
+    import repro.experiments.engine  # noqa: F401  (registers every LRU tier)
+    from repro.caching.lru import registered_cache_stats
     from repro.resilience import fault_stats, retry_stats
     from repro.simulators.array_ops import array_backend_stats
-    from repro.simulators.noise_program import noise_program_cache_stats
 
     faults = fault_stats()
-    sections = {
-        "compilation (memory)": global_compilation_cache().stats(),
-        "ideal distributions": ideal_cache_stats(),
-        "noise programs": noise_program_cache_stats(),
-        "autotuner verdicts": global_tuner_cache().stats(),
-        "decomposer profiles": profile_cache_stats(),
-        "simulation results (memory)": simulation_cache_stats(),
-    }
+    sections = registered_cache_stats()
     for name, stats in sorted(array_backend_stats().items()):
         sections[f"batched replay ({name})"] = stats
     # Resilience counters (repro.resilience): retry/recovery totals for

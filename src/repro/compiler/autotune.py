@@ -44,13 +44,12 @@ Determinism and caching:
 from __future__ import annotations
 
 import copy
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.caching.lru import LRUCache, register_cache
 from repro.circuits.hashing import (
     circuit_fingerprint,
     instruction_set_fingerprint,
@@ -74,13 +73,9 @@ AUTOTUNE_BLOB_KIND = "autotune"
 
 CANDIDATES_ENV_VAR = "REPRO_AUTOTUNE_PIPELINES"
 
-TUNER_CACHE_SIZE_ENV_VAR = "REPRO_TUNER_CACHE_SIZE"
-"""Environment variable overriding the verdict memory-tier LRU bound.
-Read once, when the process-global cache is constructed at import time
-(the ``REPRO_COMPILE_CACHE_SIZE`` contract); parsing policy:
-:func:`repro.config.positive_int_env`."""
-
-_DEFAULT_TUNER_CACHE_SIZE = 8192
+TUNER_CACHE_SIZE = 8192
+"""Entry bound of the verdict memory tier: verdicts are tiny records, far
+cheaper than compiled circuits, so the bound is generous."""
 
 _DEFAULT_CANDIDATES = ("default", "optimized", "fused")
 """Candidate pipelines the tuner scores unless told otherwise: the paper's
@@ -184,74 +179,15 @@ class TunerVerdict:
         return winner.predicted_fidelity if winner is not None else 1.0
 
 
-class TunerVerdictCache:
-    """Process-local LRU memory tier for autotuner verdicts.
-
-    Mirrors :class:`~repro.core.pipeline.CompilationCache` in shape
-    (thread-safe, hit/miss counters, LRU bound) but stores the tiny
-    :class:`TunerVerdict` records, which are much cheaper than compiled
-    circuits and therefore get a generous default bound (overridable for
-    the global instance via ``REPRO_TUNER_CACHE_SIZE``).
-    """
-
-    def __init__(self, max_entries: int = _DEFAULT_TUNER_CACHE_SIZE):
-        self.max_entries = int(max_entries)
-        self._entries: "OrderedDict[Tuple, TunerVerdict]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        """Drop every verdict and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def stats(self) -> Dict[str, int]:
-        """Hit/miss/size counters (for benchmarks and the CLI)."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-            }
-
-    def get(self, key: Tuple) -> Optional[TunerVerdict]:
-        """Verdict for ``key``, refreshing its recency; ``None`` on a miss."""
-        with self._lock:
-            verdict = self._entries.get(key)
-            if verdict is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-            else:
-                self.misses += 1
-            return verdict
-
-    def put(self, key: Tuple, verdict: TunerVerdict) -> None:
-        """Store a verdict, evicting least-recently-used entries over the bound."""
-        with self._lock:
-            self._entries[key] = verdict
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+def TunerVerdictCache(max_entries: int = TUNER_CACHE_SIZE) -> LRUCache:
+    """A private verdict memory tier (``verdict_cache=`` callers and tests)."""
+    return LRUCache(max_entries)
 
 
-def _default_tuner_cache_size() -> int:
-    """Global verdict-cache bound, configurable via ``REPRO_TUNER_CACHE_SIZE``."""
-    from repro.config import positive_int_env
-
-    return positive_int_env(TUNER_CACHE_SIZE_ENV_VAR, _DEFAULT_TUNER_CACHE_SIZE)
+_GLOBAL_TUNER_CACHE = register_cache("autotuner verdicts", TUNER_CACHE_SIZE)
 
 
-_GLOBAL_TUNER_CACHE = TunerVerdictCache(max_entries=_default_tuner_cache_size())
-
-
-def global_tuner_cache() -> TunerVerdictCache:
+def global_tuner_cache() -> LRUCache:
     """The process-wide verdict memory tier used when no explicit cache is given."""
     return _GLOBAL_TUNER_CACHE
 
@@ -318,7 +254,7 @@ def autotune_pipeline(
     max_layers: Optional[int] = None,
     cache: Optional[object] = None,
     disk_cache: Optional[object] = None,
-    verdict_cache: Optional[TunerVerdictCache] = None,
+    verdict_cache: Optional[LRUCache] = None,
 ) -> TunerVerdict:
     """Pick the candidate pipeline with the best predicted compiled fidelity.
 

@@ -1,26 +1,23 @@
 """Shared configuration helpers: one policy for environment knobs.
 
-Every tunable cache bound in the library is an environment variable
-parsed the same way, with the same failure policy:
+Every environment knob of the library (the disk-cache directory and
+size cap, the retry budget, the client timeout, kernel and backend
+choices, ...) is parsed the same way, with the same failure policy.
+In-process cache bounds are not knobs: they are constants of their
+:mod:`repro.caching.lru` tiers.
 
 * **Unset/empty** means "use the documented default" -- the variables are
   opt-in overrides, never required configuration.
 * **Invalid** values -- non-numeric, zero or negative -- fall back to the
   default **with a :class:`RuntimeWarning`** naming the variable and the
-  offending value.  Silently clamping (the pre-PR-3 behaviour of
-  ``REPRO_COMPILE_CACHE_SIZE``) turned a typo into a single-entry cache
-  and an unexplained slowdown; warn-and-default makes the typo visible
-  without breaking the run.
+  offending value.  Silently clamping turned a typo into a single-entry
+  cache and an unexplained slowdown; warn-and-default makes the typo
+  visible without breaking the run.
 * Whether a variable is read **once** (at module import / first use) or
   **on every call** is a per-knob contract documented at the call site;
   this module only owns the parsing.  See the "Environment variables"
   section of ``docs/service.md`` for the full catalogue and each knob's
   read policy.
-
-Before this module the parse-warn-default dance was duplicated (with
-drifting messages and fallbacks) across ``repro.core.pipeline``,
-``repro.simulators.noise_program``, ``repro.caching.disk`` and the
-autotuner; they all route through :func:`positive_int_env` now.
 """
 
 from __future__ import annotations

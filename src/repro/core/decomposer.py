@@ -20,17 +20,15 @@ of optimising, and optimises such a count only if a query selects it.
 from __future__ import annotations
 
 import itertools
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
+from repro.caching.lru import MISSING, register_cache
 from repro.circuits.circuit import Operation, QuantumCircuit
 from repro.circuits.gate import Gate, fsim_gate, u3_gate, xy_gate
-from repro.config import positive_int_env
 from repro.core.templates import (
     TemplateSpec,
     continuous_family_template,
@@ -45,75 +43,25 @@ EXACT_FIDELITY_THRESHOLD = 1.0 - 1e-6
 NEAR_MISS_INFIDELITY = 2e-3
 """Infidelity below which an inexact optimum earns confirmation restarts."""
 
-PROFILE_CACHE_SIZE_ENV_VAR = "REPRO_DECOMP_CACHE_SIZE"
-"""Entry cap of the process-wide fidelity-profile LRU (default 4096).
-
-The profile cache used to be an unbounded per-decomposer dict; a long
-``repro serve`` worker decomposing a stream of distinct targets would
-grow it without limit.  Invalid values warn and fall back to the default
-(:func:`repro.config.positive_int_env`, the policy every cache-bound
-variable shares).  Read once at import, like
-``REPRO_COMPILE_CACHE_SIZE``."""
-
-_DEFAULT_PROFILE_CACHE_SIZE = 4096
-
-_PROFILE_CACHE_MAX_ENTRIES = positive_int_env(
-    PROFILE_CACHE_SIZE_ENV_VAR,
-    _DEFAULT_PROFILE_CACHE_SIZE,
-    invalid_note="profile cache keeps the default size",
-)
+PROFILE_CACHE_SIZE = 4096
+"""Entry bound of the process-wide fidelity-profile and Weyl-coordinate LRUs."""
 
 # Process-wide fidelity-profile LRU.  Keys fold in the decomposer's
 # optimisation knobs (see NuOpDecomposer._profile_cache_key), so
 # differently-configured decomposer instances never alias; identically
-# configured ones share work, which is what a serve worker wants.  Every
-# mutation happens under the paired lock (the lock-discipline source lint
-# enforces the pairing).
-_PROFILE_CACHE: "OrderedDict[Tuple, List[LayerSolution]]" = OrderedDict()
-_PROFILE_CACHE_LOCK = threading.Lock()
-_PROFILE_CACHE_COUNTERS = {"hits": 0, "misses": 0}
-
-
-def _profile_cache_get(key: Tuple) -> Optional[List["LayerSolution"]]:
-    """LRU lookup: a hit refreshes recency and returns the cached list itself."""
-    with _PROFILE_CACHE_LOCK:
-        profile = _PROFILE_CACHE.get(key)
-        if profile is None:
-            _PROFILE_CACHE_COUNTERS["misses"] += 1
-            return None
-        _PROFILE_CACHE.move_to_end(key)
-        _PROFILE_CACHE_COUNTERS["hits"] += 1
-        return profile
-
-
-def _profile_cache_put(key: Tuple, profile: List["LayerSolution"]) -> None:
-    with _PROFILE_CACHE_LOCK:
-        _PROFILE_CACHE[key] = profile
-        _PROFILE_CACHE.move_to_end(key)
-        while len(_PROFILE_CACHE) > _PROFILE_CACHE_MAX_ENTRIES:
-            _PROFILE_CACHE.popitem(last=False)
+# configured ones share work, which is what a serve worker wants.
+_PROFILE_CACHE = register_cache("decomposer profiles", PROFILE_CACHE_SIZE)
 
 
 def profile_cache_stats() -> Dict[str, int]:
     """Counters + occupancy of the process-wide profile LRU (for the CLI)."""
-    with _PROFILE_CACHE_LOCK:
-        return {
-            "hits": _PROFILE_CACHE_COUNTERS["hits"],
-            "misses": _PROFILE_CACHE_COUNTERS["misses"],
-            "entries": len(_PROFILE_CACHE),
-            "max_entries": _PROFILE_CACHE_MAX_ENTRIES,
-        }
+    return _PROFILE_CACHE.stats()
 
 
 def clear_profile_cache() -> None:
-    """Drop every cached fidelity profile and Weyl-coordinate memo entry.
-
-    Hit/miss counters keep accumulating.
-    """
-    with _PROFILE_CACHE_LOCK:
-        _PROFILE_CACHE.clear()
-    with _COORDINATE_CACHE_LOCK:
-        _COORDINATE_CACHE.clear()
+    """Drop every cached fidelity profile and Weyl-coordinate memo entry."""
+    _PROFILE_CACHE.clear()
+    _COORDINATE_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +83,7 @@ def clear_profile_cache() -> None:
 # target and gate is analysed once, memoised under the phase-canonical
 # target key the profile LRU builds.
 
-_COORDINATE_CACHE: "OrderedDict[bytes, Optional[np.ndarray]]" = OrderedDict()
-_COORDINATE_CACHE_LOCK = threading.Lock()
+_COORDINATE_CACHE = register_cache("weyl coordinates", PROFILE_CACHE_SIZE)
 
 _SIGN_VECTORS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
 _XY_DIRECTIONS = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]])
@@ -146,18 +93,13 @@ _XY_GRID = np.linspace(0.0, np.pi, 129)
 
 def _weyl_point(key: bytes, matrix: np.ndarray) -> Optional[np.ndarray]:
     """Memoised chamber coordinates, ``None`` when ``matrix`` is not unitary."""
-    with _COORDINATE_CACHE_LOCK:
-        if key in _COORDINATE_CACHE:
-            _COORDINATE_CACHE.move_to_end(key)
-            return _COORDINATE_CACHE[key]
-    try:
-        point = precise_weyl_coordinates(matrix)
-    except ValueError:
-        point = None
-    with _COORDINATE_CACHE_LOCK:
-        _COORDINATE_CACHE[key] = point
-        while len(_COORDINATE_CACHE) > _PROFILE_CACHE_MAX_ENTRIES:
-            _COORDINATE_CACHE.popitem(last=False)
+    point = _COORDINATE_CACHE.get(key, MISSING)
+    if point is MISSING:
+        try:
+            point = precise_weyl_coordinates(matrix)
+        except ValueError:
+            point = None
+        _COORDINATE_CACHE.put(key, point)
     return point
 
 
@@ -472,10 +414,10 @@ class NuOpDecomposer:
         cache_key = self._profile_cache_key(
             target_key, gate.type_key if gate is not None else f"family:{family}", limit
         )
-        profile = _profile_cache_get(cache_key)
+        profile = _PROFILE_CACHE.get(cache_key)
         if profile is None:
             profile = self._optimised_profile(target, target_key, gate, family, limit)
-            _profile_cache_put(cache_key, profile)
+            _PROFILE_CACHE.put(cache_key, profile)
         return cache_key, profile
 
     def _optimised_profile(
@@ -546,7 +488,7 @@ class NuOpDecomposer:
             fidelity, params, _ = self._optimise_template(target, template, rng)
             solved = replace(chosen, fidelity=fidelity, parameters=params)
             profile = [solved if entry is chosen else entry for entry in profile]
-            _profile_cache_put(cache_key, profile)
+            _PROFILE_CACHE.put(cache_key, profile)
             chosen = pick(profile)
         return chosen
 

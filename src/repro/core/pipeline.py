@@ -15,7 +15,7 @@ device calibration RNG consumption order).
 
 Two cache tiers back :func:`compile_circuit_cached`:
 
-* a process-local, LRU-bounded :class:`CompilationCache` (memory tier),
+* a process-local, LRU-bounded :func:`CompilationCache` (memory tier),
 * an optional persistent :class:`~repro.caching.disk.DiskCompilationCache`
   (disk tier, enabled via ``REPRO_CACHE_DIR`` / ``--cache-dir``) that
   warm-starts *fresh processes* -- see :mod:`repro.caching.disk`.
@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.caching.lru import LRUCache, register_cache
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.hashing import (
     circuit_fingerprint,
@@ -388,102 +387,36 @@ class _CacheEntry:
     emitted_type_keys: List[str]
 
 
-class CompilationCache:
-    """Keyed cache around :func:`compile_circuit`.
+COMPILE_CACHE_SIZE = 4096
+"""Entry bound of the process-global compilation memory tier."""
+
+
+def CompilationCache(max_entries: int = COMPILE_CACHE_SIZE) -> LRUCache:
+    """A private compilation memory tier (``cache=`` callers and tests).
 
     Keys combine content digests of the circuit, the instruction set, the
     device calibration state, the decomposer configuration and the
     pipeline config with the scalar compilation options, so a hit is only
     possible when the cached call would have produced a bit-identical
-    result.
-
-    ``compile_circuit`` has a side effect the cache must preserve: it
-    registers calibration data for gate types the device has not seen yet,
-    consuming the device's calibration RNG.  On a hit the cache *replays*
-    those registrations (the instruction set's own types, then the gate
-    types emitted by the decomposition, in the same order the original
-    call used), so a warm-cache run leaves the device in exactly the state
-    a cold run would -- the property the determinism test suite pins down.
-
-    The cache is thread-safe and bounded with **LRU eviction** (a hit
-    refreshes the entry's recency); the bound is the ``max_entries``
-    constructor argument, and the process-global instance reads it from
-    the ``REPRO_COMPILE_CACHE_SIZE`` environment variable (default 4096).
-    The experiment engine shares that global instance across studies so
-    ideal sweep workloads (same circuits, many error scales) reuse work.
+    result.  Values are :class:`_CacheEntry` records: ``compile_circuit``
+    registers calibration data for gate types the device has not seen
+    yet, consuming the device's calibration RNG, so a hit *replays* those
+    registrations (the instruction set's own types, then the emitted
+    ones, in the original order) and a warm run leaves the device in
+    exactly the state a cold run would.
     """
-
-    def __init__(self, max_entries: int = 4096):
-        self.max_entries = int(max_entries)
-        self._entries: "OrderedDict[Tuple, _CacheEntry]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def stats(self) -> Dict[str, int]:
-        """Current hit/miss/size counters (for benchmark reporting)."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-            }
-
-    def _get(self, key: Tuple) -> Optional[_CacheEntry]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-            else:
-                self.misses += 1
-            return entry
-
-    def _put(self, key: Tuple, entry: _CacheEntry) -> None:
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+    return LRUCache(max_entries)
 
 
-_DEFAULT_COMPILE_CACHE_SIZE = 4096
-
-COMPILE_CACHE_SIZE_ENV_VAR = "REPRO_COMPILE_CACHE_SIZE"
-"""Environment variable overriding the global memory-cache bound.  Read
-once, when the process-global cache is constructed at import time."""
+_GLOBAL_COMPILATION_CACHE = register_cache("compilation (memory)", COMPILE_CACHE_SIZE)
 
 
-def _default_cache_size() -> int:
-    """Global memory-cache bound, configurable via ``REPRO_COMPILE_CACHE_SIZE``.
+def global_compilation_cache() -> LRUCache:
+    """The process-wide compilation cache used when no explicit cache is given.
 
-    Invalid values -- non-numeric, zero or negative -- fall back to the
-    documented default (4096) with a warning, instead of being silently
-    clamped; a zero-entry cache would defeat the determinism-preserving
-    side-effect replay without telling anyone why everything got slow.
-    Parsing policy: :func:`repro.config.positive_int_env`.
+    The experiment engine shares it across studies so ideal sweep
+    workloads (same circuits, many error scales) reuse work.
     """
-    from repro.config import positive_int_env
-
-    return positive_int_env(COMPILE_CACHE_SIZE_ENV_VAR, _DEFAULT_COMPILE_CACHE_SIZE)
-
-
-_GLOBAL_COMPILATION_CACHE = CompilationCache(max_entries=_default_cache_size())
-
-
-def global_compilation_cache() -> CompilationCache:
-    """The process-wide compilation cache used when no explicit cache is given."""
     return _GLOBAL_COMPILATION_CACHE
 
 
@@ -563,14 +496,14 @@ def compile_circuit_cached(
     error_scale: float = 1.0,
     max_layers: Optional[int] = None,
     pipeline: Union[str, PipelineConfig] = "default",
-    cache: Optional[CompilationCache] = None,
+    cache: Optional[LRUCache] = None,
     disk_cache: Optional["object"] = None,
 ) -> CompiledCircuit:
     """Drop-in replacement for :func:`compile_circuit` backed by cache tiers.
 
     Identical signature and semantics; lookup order is **memory -> disk ->
     compile**.  The memory tier defaults to the process-global
-    :class:`CompilationCache`; the disk tier defaults to the globally
+    :func:`CompilationCache`; the disk tier defaults to the globally
     configured :class:`~repro.caching.disk.DiskCompilationCache` (none
     unless ``REPRO_CACHE_DIR`` is set or
     :func:`repro.caching.disk.configure_disk_cache` was called), so a
@@ -636,7 +569,7 @@ def compile_circuit_cached(
         max_layers,
         pipeline_config,
     )
-    entry = cache._get(key)
+    entry = cache.get(key)
     if entry is not None:
         _replay_registrations(
             device, instruction_set, entry.emitted_type_keys, effective_scale
@@ -650,7 +583,7 @@ def compile_circuit_cached(
                 compiled=stored.compiled,
                 emitted_type_keys=list(stored.emitted_type_keys),
             )
-            cache._put(key, entry)
+            cache.put(key, entry)
             _replay_registrations(
                 device, instruction_set, entry.emitted_type_keys, effective_scale
             )
@@ -670,7 +603,7 @@ def compile_circuit_cached(
         pipeline=pipeline_config,
     )
     emitted = list(compiled.emitted_gate_types)
-    cache._put(key, _CacheEntry(compiled=compiled, emitted_type_keys=emitted))
+    cache.put(key, _CacheEntry(compiled=compiled, emitted_type_keys=emitted))
     if disk is not None:
         disk.put(key, compiled, emitted)
     return compiled

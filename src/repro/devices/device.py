@@ -39,26 +39,22 @@ another thread uses the same device was never supported.
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.caching.lru import register_cache
 from repro.circuits.hashing import FrozenTable, hash_mapping, hash_scalars
 from repro.devices.topology import Topology
 from repro.simulators.noise_model import NoiseModel
 
 Edge = Tuple[int, int]
 
-CALIBRATION_MEMO_SIZE = 1024
-"""LRU bound of the process-wide calibration-fingerprint memo.  A design
-study visits one device state per registration (about 8 per study), so
-this holds every state of a few hundred distinct studies."""
-
-_CALIBRATION_MEMO: "OrderedDict[Tuple[str, Tuple[str, ...]], str]" = OrderedDict()
-_CALIBRATION_MEMO_LOCK = threading.Lock()
+_CALIBRATION_MEMO = register_cache("calibration fingerprints", 1024)
+"""Process-wide calibration-fingerprint memo.  A design study visits one
+device state per registration (about 8 per study), so the bound holds
+every state of a few hundred distinct studies."""
 
 _FIXED_ATTRIBUTES = frozenset(
     ("name", "topology", "noise_model", "two_qubit_error_distribution", "noise_variation", "seed")
@@ -69,12 +65,6 @@ _FIXED_ATTRIBUTES = frozenset(
 def _exact(value: object) -> str:
     """``value`` rendered with its type and exact ``repr`` (memo-key component)."""
     return f"{type(value).__qualname__}:{value!r}"
-
-
-def clear_calibration_memo() -> None:
-    """Empty the calibration-fingerprint memo (part of ``clear_experiment_caches``)."""
-    with _CALIBRATION_MEMO_LOCK:
-        _CALIBRATION_MEMO.clear()
 
 
 @dataclass(frozen=True)
@@ -273,17 +263,10 @@ class Device:
         if self._static_key is None:
             return _calibration_digest(self)
         key = (self._static_key, self._log_key)
-        with _CALIBRATION_MEMO_LOCK:
-            digest = _CALIBRATION_MEMO.get(key)
-            if digest is not None:
-                _CALIBRATION_MEMO.move_to_end(key)
-                return digest
-        digest = _calibration_digest(self)
-        with _CALIBRATION_MEMO_LOCK:
-            _CALIBRATION_MEMO[key] = digest
-            _CALIBRATION_MEMO.move_to_end(key)
-            while len(_CALIBRATION_MEMO) > CALIBRATION_MEMO_SIZE:
-                _CALIBRATION_MEMO.popitem(last=False)
+        digest = _CALIBRATION_MEMO.get(key)
+        if digest is None:
+            digest = _calibration_digest(self)
+            _CALIBRATION_MEMO.put(key, digest)
         return digest
 
     def gate_fidelity(self, type_key: str, edge: Sequence[int]) -> float:

@@ -8,7 +8,7 @@ ideal one.  The legacy :func:`repro.experiments.runner.run_instruction_set_study
 executed that workflow as a fully serial double loop; this module turns it
 into an explicit job graph.  Per ``(circuit, instruction set, error
 scale)`` job there is a **compile node** (served from the global
-:class:`~repro.core.pipeline.CompilationCache`), a **simulate node** and a
+:func:`~repro.core.pipeline.global_compilation_cache`), a **simulate node** and a
 **score node**; per circuit an **ideal node** (noiseless distribution,
 shared by every set and scale through a process-global content-addressed
 cache); and one **merge node** folding scored jobs into a
@@ -62,7 +62,6 @@ from __future__ import annotations
 import functools
 import os
 import pickle
-import threading
 import time
 import warnings
 from collections import OrderedDict
@@ -78,17 +77,13 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
+from repro.caching.lru import LRUCache, clear_registered_caches, register_cache
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.hashing import circuit_fingerprint, hash_scalars
 from repro.core.decomposer import NuOpDecomposer
 from repro.core.instruction_sets import InstructionSet
-from repro.core.pipeline import (
-    CompilationCache,
-    CompiledCircuit,
-    compile_circuit_cached,
-    global_compilation_cache,
-)
-from repro.devices.device import Device, clear_calibration_memo
+from repro.core.pipeline import CompiledCircuit, compile_circuit_cached
+from repro.devices.device import Device
 from repro.experiments.runner import (
     InstructionSetResult,
     MetricFunction,
@@ -107,11 +102,8 @@ from repro.resilience import (
     maybe_raise_fault,
 )
 from repro.simulators.backend import SimulatorBackend, resolve_backend
-from repro.simulators.noise_program import (
-    NoiseProgram,
-    clear_noise_program_cache,
-    noise_program_for,
-)
+from repro.simulators.noise_model import CHANNEL_MEMOS
+from repro.simulators.noise_program import NoiseProgram, noise_program_for
 from repro.simulators.superop import (
     max_batch_items,
     superop_program_for,
@@ -123,13 +115,9 @@ from repro.simulators.statevector import ideal_probabilities
 # Ideal-distribution cache (shared across instruction sets, sweeps, studies)
 # ---------------------------------------------------------------------------
 
-_IDEAL_CACHE: "OrderedDict[str, np.ndarray]" = OrderedDict()
-_IDEAL_CACHE_LOCK = threading.Lock()
-_IDEAL_CACHE_STATS = {"hits": 0, "misses": 0}
-_IDEAL_CACHE_MAX_ENTRIES = 1024
-"""LRU bound (hits refresh recency, like every other in-process tier):
-distinct wide circuits would otherwise accumulate 2^n-sized vectors for
-the process lifetime."""
+_IDEAL_CACHE = register_cache("ideal distributions", 1024)
+"""Bounded because distinct wide circuits would otherwise accumulate
+2^n-sized vectors for the process lifetime."""
 
 
 def ideal_distribution_cached(circuit: QuantumCircuit) -> np.ndarray:
@@ -148,61 +136,36 @@ def ideal_distribution_cached(circuit: QuantumCircuit) -> np.ndarray:
     workloads a daemon keeps hot were the first evicted.)
     """
     key = circuit_fingerprint(circuit)
-    with _IDEAL_CACHE_LOCK:
-        cached = _IDEAL_CACHE.get(key)
-        if cached is not None:
-            _IDEAL_CACHE_STATS["hits"] += 1
-            _IDEAL_CACHE.move_to_end(key)
-            return cached
-        _IDEAL_CACHE_STATS["misses"] += 1
+    cached = _IDEAL_CACHE.get(key)
+    if cached is not None:
+        return cached
     value = ideal_probabilities(circuit)
     value.setflags(write=False)
-    with _IDEAL_CACHE_LOCK:
-        _IDEAL_CACHE[key] = value
-        _IDEAL_CACHE.move_to_end(key)
-        while len(_IDEAL_CACHE) > _IDEAL_CACHE_MAX_ENTRIES:
-            _IDEAL_CACHE.popitem(last=False)
+    _IDEAL_CACHE.put(key, value)
     return value
 
 
 def ideal_cache_stats() -> Dict[str, int]:
     """Hit/miss/size counters of the ideal-distribution cache."""
-    with _IDEAL_CACHE_LOCK:
-        return {
-            "hits": _IDEAL_CACHE_STATS["hits"],
-            "misses": _IDEAL_CACHE_STATS["misses"],
-            "entries": len(_IDEAL_CACHE),
-            "max_entries": _IDEAL_CACHE_MAX_ENTRIES,
-        }
+    return _IDEAL_CACHE.stats()
 
 
 def clear_experiment_caches(include_disk: bool = False) -> None:
     """Reset every in-process experiment cache.
 
-    Covers the ideal-distribution cache, the global compilation cache,
-    the autotuner verdict cache, the noise-program cache (with the
-    channel memos), the calibration-fingerprint memo and the
-    simulation-result memory cache.  Used by determinism tests and
-    benchmarks that need a guaranteed cold start; production callers
-    normally never need it.  ``include_disk`` additionally clears the
-    configured persistent disk tier (when one is active); the default
-    leaves it alone because the disk tier exists precisely to survive
-    "cold starts" of new processes.
+    Empties every registered LRU tier (:mod:`repro.caching.lru`:
+    decomposer profiles and Weyl coordinates, compilations, autotuner
+    verdicts, noise programs, ideal distributions, simulation results,
+    calibration fingerprints) and the memoised noise-channel
+    constructors.  Used by determinism tests and benchmarks that need a
+    guaranteed cold start; production callers normally never need it.
+    ``include_disk`` additionally clears the configured persistent disk
+    tier (when one is active); the default leaves it alone because the
+    disk tier exists precisely to survive "cold starts" of new processes.
     """
-    from repro.compiler.autotune import global_tuner_cache
-
-    with _IDEAL_CACHE_LOCK:
-        _IDEAL_CACHE.clear()
-        _IDEAL_CACHE_STATS["hits"] = 0
-        _IDEAL_CACHE_STATS["misses"] = 0
-    with _SIM_CACHE_LOCK:
-        _SIM_CACHE.clear()
-        _SIM_CACHE_STATS["hits"] = 0
-        _SIM_CACHE_STATS["misses"] = 0
-    clear_noise_program_cache()
-    clear_calibration_memo()
-    global_compilation_cache().clear()
-    global_tuner_cache().clear()
+    clear_registered_caches()
+    for memo in CHANNEL_MEMOS:
+        memo.cache_clear()
     if include_disk:
         from repro.caching.disk import get_global_disk_cache
 
@@ -216,11 +179,8 @@ def clear_experiment_caches(include_disk: bool = False) -> None:
 # of repro.caching.disk)
 # ---------------------------------------------------------------------------
 
-_SIM_CACHE: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
-_SIM_CACHE_LOCK = threading.Lock()
-_SIM_CACHE_STATS = {"hits": 0, "misses": 0}
-_SIM_CACHE_MAX_ENTRIES = 4096
-"""LRU bound; measured distributions are ``2^n`` floats, so thousands of
+_SIM_CACHE = register_cache("simulation results (memory)", 4096)
+"""Measured distributions are ``2^n`` floats, so thousands of
 small-circuit results fit comfortably."""
 
 
@@ -264,27 +224,11 @@ def simulation_cache_key(
     )
 
 
-def _simulation_cache_get(key: Tuple) -> Optional[np.ndarray]:
-    """Memory-tier lookup (counts a hit or miss)."""
-    with _SIM_CACHE_LOCK:
-        cached = _SIM_CACHE.get(key)
-        if cached is not None:
-            _SIM_CACHE_STATS["hits"] += 1
-            _SIM_CACHE.move_to_end(key)
-            return cached
-        _SIM_CACHE_STATS["misses"] += 1
-        return None
-
-
 def _simulation_cache_put(key: Tuple, vector: np.ndarray) -> np.ndarray:
     """Store a measured distribution (frozen) in the memory tier."""
     vector = np.asarray(vector)
     vector.setflags(write=False)
-    with _SIM_CACHE_LOCK:
-        _SIM_CACHE[key] = vector
-        _SIM_CACHE.move_to_end(key)
-        while len(_SIM_CACHE) > _SIM_CACHE_MAX_ENTRIES:
-            _SIM_CACHE.popitem(last=False)
+    _SIM_CACHE.put(key, vector)
     return vector
 
 
@@ -295,19 +239,12 @@ def peek_simulation_memory(key: Tuple) -> Optional[np.ndarray]:
     the daemon's in-flight table re-checks a miss with it right before
     starting an owner (see :meth:`repro.service.dedup.InFlightTable.submit`).
     """
-    with _SIM_CACHE_LOCK:
-        return _SIM_CACHE.get(key)
+    return _SIM_CACHE.peek(key)
 
 
 def simulation_cache_stats() -> Dict[str, int]:
     """Hit/miss/size counters of the simulation-result memory cache."""
-    with _SIM_CACHE_LOCK:
-        return {
-            "hits": _SIM_CACHE_STATS["hits"],
-            "misses": _SIM_CACHE_STATS["misses"],
-            "entries": len(_SIM_CACHE),
-            "max_entries": _SIM_CACHE_MAX_ENTRIES,
-        }
+    return _SIM_CACHE.stats()
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +519,7 @@ def prepare_job(
     approximate: bool = True,
     use_noise_adaptivity: bool = True,
     pipeline: str = "default",
-    compilation_cache: Optional[CompilationCache] = None,
+    compilation_cache: Optional[LRUCache] = None,
     disk_cache: Optional[object] = None,
     backend: Optional[SimulatorBackend] = None,
     compile_fn: Optional[Callable[..., CompiledCircuit]] = None,
@@ -649,7 +586,7 @@ def fetch_cached_simulation(
     is promoted into the memory LRU.
     """
     key = prepared.cache_key
-    cached = _simulation_cache_get(key)
+    cached = _SIM_CACHE.get(key)
     if cached is not None:
         if sim_disk is not None and not sim_disk.has_simulation(key):
             # Backfill: the vector exists only in this process's memory
@@ -1090,7 +1027,7 @@ def run_study(
     use_noise_adaptivity: bool = True,
     error_scales: Optional[Dict[str, float]] = None,
     workers: Optional[int] = 1,
-    compilation_cache: Optional[CompilationCache] = None,
+    compilation_cache: Optional[LRUCache] = None,
     pipeline: str = "default",
     cache_dir: Optional[str] = None,
     backend: Optional[Union[str, SimulatorBackend]] = None,

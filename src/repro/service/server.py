@@ -126,6 +126,11 @@ class StudyService:
         retry_policy: Optional[RetryPolicy] = None,
         request_deadline: Optional[float] = None,
     ) -> None:
+        # The study stack is imported here, before any request thread runs:
+        # concurrent first requests importing it lazily raced on its
+        # circular imports and failed with ImportError.  Importing it also
+        # registers every cache tier that stats() reports.
+        import repro.experiments.engine  # noqa: F401
         from repro.caching.disk import disk_cache_for, get_global_disk_cache
 
         self.shard = shard
@@ -515,11 +520,9 @@ class StudyService:
 
     def stats(self) -> Dict[str, object]:
         """Service-lifetime counters plus every engine cache's counters."""
-        from repro.core.pipeline import global_compilation_cache
-        from repro.experiments.engine import ideal_cache_stats, simulation_cache_stats
+        from repro.caching.lru import registered_cache_stats
         from repro.simulators.array_ops import array_backend_stats
         from repro.simulators.backend import backend_invocation_counts
-        from repro.simulators.noise_program import noise_program_cache_stats
 
         with self._lock:
             counters = dict(self._counters)
@@ -541,10 +544,7 @@ class StudyService:
             "inflight_simulations": self._simulations.stats(),
             "backend_invocations": backend_invocation_counts(),
             "caches": {
-                "compilation_memory": global_compilation_cache().stats(),
-                "ideal_distributions": ideal_cache_stats(),
-                "noise_programs": noise_program_cache_stats(),
-                "simulation_memory": simulation_cache_stats(),
+                **registered_cache_stats(),
                 "disk": self._sim_disk.stats() if self._sim_disk is not None else None,
             },
         }

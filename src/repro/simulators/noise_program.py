@@ -48,11 +48,10 @@ calibration fingerprint but not the program lowered for this circuit).
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.caching.lru import register_cache
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import as_moments
 from repro.circuits.hashing import (
@@ -239,35 +238,9 @@ def build_noise_program(
 # Process-wide program cache (per compiled circuit x calibration x placement)
 # ---------------------------------------------------------------------------
 
-_PROGRAM_CACHE: "OrderedDict[Tuple, NoiseProgram]" = OrderedDict()
-_PROGRAM_CACHE_LOCK = threading.Lock()
-_PROGRAM_CACHE_STATS = {"hits": 0, "misses": 0}
-
-_DEFAULT_PROGRAM_CACHE_SIZE = 256
-"""Default LRU bound: programs hold one small matrix per Kraus operator,
-so a few hundred distinct compiled circuits stay comfortably in memory."""
-
-PROGRAM_CACHE_SIZE_ENV_VAR = "REPRO_PROGRAM_CACHE_SIZE"
-"""Environment variable overriding the noise-program LRU bound.  Read on
-**every** consultation of the bound -- the same policy
-``active_simulation_kernel`` and ``get_global_disk_cache`` follow -- so a
-long-lived daemon picks up runtime changes without a restart.  (It used
-to be frozen into a module global on first use, silently ignoring later
-changes.)"""
-
-
-def _program_cache_bound() -> int:
-    """The noise-program LRU bound, configurable via the environment.
-
-    Re-reads ``REPRO_PROGRAM_CACHE_SIZE`` on every call.  Invalid values
-    -- non-numeric, zero or negative -- fall back to the documented
-    default with a warning instead of being silently clamped
-    (:func:`repro.config.positive_int_env`, the policy every cache-bound
-    variable shares).
-    """
-    from repro.config import positive_int_env
-
-    return positive_int_env(PROGRAM_CACHE_SIZE_ENV_VAR, _DEFAULT_PROGRAM_CACHE_SIZE)
+_PROGRAM_CACHE = register_cache("noise programs", 256)
+"""Programs hold one small matrix per Kraus operator, so a few hundred
+distinct compiled circuits stay comfortably in memory."""
 
 
 def noise_program_for(
@@ -299,13 +272,9 @@ def noise_program_for(
         tuple(compiled.physical_qubits),
         scale,
     )
-    with _PROGRAM_CACHE_LOCK:
-        cached = _PROGRAM_CACHE.get(key)
-        if cached is not None:
-            _PROGRAM_CACHE_STATS["hits"] += 1
-            _PROGRAM_CACHE.move_to_end(key)
-            return cached
-        _PROGRAM_CACHE_STATS["misses"] += 1
+    cached = _PROGRAM_CACHE.get(key)
+    if cached is not None:
+        return cached
     model = device.noise_model
     if scale != 1.0:
         model = model.scaled_two_qubit(scale, device.registered_type_scales())
@@ -313,38 +282,18 @@ def noise_program_for(
         compiled.circuit, model, list(compiled.physical_qubits)
     )
     program.fingerprint()  # compute once outside any lock; replays share it
-    bound = _program_cache_bound()
-    with _PROGRAM_CACHE_LOCK:
-        _PROGRAM_CACHE[key] = program
-        _PROGRAM_CACHE.move_to_end(key)
-        while len(_PROGRAM_CACHE) > bound:
-            _PROGRAM_CACHE.popitem(last=False)
+    _PROGRAM_CACHE.put(key, program)
     return program
 
 
 def noise_program_cache_stats() -> Dict[str, int]:
     """Hit/miss/size counters of the noise-program cache."""
-    bound = _program_cache_bound()
-    with _PROGRAM_CACHE_LOCK:
-        return {
-            "hits": _PROGRAM_CACHE_STATS["hits"],
-            "misses": _PROGRAM_CACHE_STATS["misses"],
-            "entries": len(_PROGRAM_CACHE),
-            "max_entries": bound,
-        }
+    return _PROGRAM_CACHE.stats()
 
 
 def clear_noise_program_cache() -> None:
     """Drop every cached program and memoised channel, and reset the
-    counters (tests/benchmarks), so the next build is genuinely cold.
-
-    The LRU bound needs no reset: ``REPRO_PROGRAM_CACHE_SIZE`` is
-    re-read on every consultation, so environment changes take effect
-    immediately whether or not the cache is cleared.
-    """
-    with _PROGRAM_CACHE_LOCK:
-        _PROGRAM_CACHE.clear()
-        _PROGRAM_CACHE_STATS["hits"] = 0
-        _PROGRAM_CACHE_STATS["misses"] = 0
+    counters (tests/benchmarks), so the next build is genuinely cold."""
+    _PROGRAM_CACHE.clear()
     for memo in CHANNEL_MEMOS:
         memo.cache_clear()

@@ -105,40 +105,6 @@ class TestFlagEnv:
 class TestCallerWiring:
     """Each consolidated caller still reads its documented variable/default."""
 
-    def test_program_cache_bound(self, monkeypatch):
-        from repro.simulators.noise_program import (
-            PROGRAM_CACHE_SIZE_ENV_VAR,
-            _program_cache_bound,
-        )
-
-        monkeypatch.setenv(PROGRAM_CACHE_SIZE_ENV_VAR, "7")
-        assert _program_cache_bound() == 7
-        # Every-call read policy: a later change takes effect immediately,
-        # no module reload, no cache clear.
-        monkeypatch.setenv(PROGRAM_CACHE_SIZE_ENV_VAR, "9")
-        assert _program_cache_bound() == 9
-        monkeypatch.delenv(PROGRAM_CACHE_SIZE_ENV_VAR)
-        assert _program_cache_bound() == 256
-
-    def test_compile_cache_default(self, monkeypatch):
-        from repro.core.pipeline import COMPILE_CACHE_SIZE_ENV_VAR, _default_cache_size
-
-        monkeypatch.delenv(COMPILE_CACHE_SIZE_ENV_VAR, raising=False)
-        assert _default_cache_size() == 4096
-        monkeypatch.setenv(COMPILE_CACHE_SIZE_ENV_VAR, "11")
-        assert _default_cache_size() == 11
-
-    def test_tuner_cache_default(self, monkeypatch):
-        from repro.compiler.autotune import (
-            TUNER_CACHE_SIZE_ENV_VAR,
-            _default_tuner_cache_size,
-        )
-
-        monkeypatch.delenv(TUNER_CACHE_SIZE_ENV_VAR, raising=False)
-        assert _default_tuner_cache_size() == 8192
-        monkeypatch.setenv(TUNER_CACHE_SIZE_ENV_VAR, "13")
-        assert _default_tuner_cache_size() == 13
-
     def test_disk_cache_max_bytes_unbounded_default(self, monkeypatch):
         from repro.caching.disk import MAX_BYTES_ENV_VAR, _default_max_bytes
 

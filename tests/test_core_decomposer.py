@@ -178,7 +178,7 @@ class TestCachingAndBookkeeping:
         )
 
     def test_profile_lru_bound(self, rng, monkeypatch):
-        monkeypatch.setattr(decomposer_module, "_PROFILE_CACHE_MAX_ENTRIES", 4)
+        monkeypatch.setattr(decomposer_module._PROFILE_CACHE, "max_entries", 4)
         decomposer = NuOpDecomposer(seed=7, max_layers=0)
         for _ in range(6):
             decomposer.fidelity_profile(random_su4(rng), gate=CZ_GATE)

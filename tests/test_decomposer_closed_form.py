@@ -37,6 +37,7 @@ from repro.core.decomposer import (
     profile_cache_stats,
 )
 from repro.core.gate_types import all_google_types, google_gate_type, rigetti_gate_type
+from repro.experiments.engine import clear_experiment_caches
 from repro.gates.kak import precise_weyl_coordinates
 from repro.gates.parametric import canonical_gate, cphase, fsim, rzz
 from repro.gates.unitary import random_su4, random_unitary
@@ -312,6 +313,14 @@ class TestCacheBookkeeping:
         decomposer.fidelity_profile(haar_targets(1, seed=4)[0], gate=CATALOGUE_GATES[0])
         assert len(decomposer_module._COORDINATE_CACHE) == 2  # target and gate
         clear_profile_cache()
+        assert len(decomposer_module._COORDINATE_CACHE) == 0
+
+    def test_clear_experiment_caches_empties_the_nuop_tiers(self):
+        decomposer = NuOpDecomposer(max_layers=1)
+        decomposer.fidelity_profile(haar_targets(1, seed=4)[0], gate=CATALOGUE_GATES[0])
+        assert profile_cache_stats()["entries"] == 1
+        clear_experiment_caches()
+        assert profile_cache_stats()["entries"] == 0
         assert len(decomposer_module._COORDINATE_CACHE) == 0
 
     def test_skipped_counts_record_generator_offsets(self):

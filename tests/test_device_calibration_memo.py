@@ -194,7 +194,7 @@ class TestMemoKey:
         assert digests[0] != digests[1]
 
     def test_memo_is_bounded_lru(self, monkeypatch):
-        monkeypatch.setattr(device_module, "CALIBRATION_MEMO_SIZE", 3)
+        monkeypatch.setattr(device_module._CALIBRATION_MEMO, "max_entries", 3)
         hot = synthetic_device(4, "line", seed=1)
         hot_digest = hot.calibration_fingerprint()
         for seed in range(2, 6):
@@ -206,7 +206,7 @@ class TestMemoKey:
     def test_threads_sharing_the_memo(self, monkeypatch):
         """More threads than cores replay logs on fresh devices against a
         small memo: every digest equals the formula's."""
-        monkeypatch.setattr(device_module, "CALIBRATION_MEMO_SIZE", 8)
+        monkeypatch.setattr(device_module._CALIBRATION_MEMO, "max_entries", 8)
         errors = []
 
         def worker(seed):

@@ -285,36 +285,18 @@ class TestMemoryCacheLRU:
 
     def test_eviction_is_least_recently_used(self):
         cache = CompilationCache(max_entries=2)
-        cache._put(("a",), self._entry())
-        cache._put(("b",), self._entry())
-        assert cache._get(("a",)) is not None  # refresh 'a'
-        cache._put(("c",), self._entry())  # evicts 'b', not 'a'
-        assert cache._get(("a",)) is not None
-        assert cache._get(("b",)) is None
-        assert cache._get(("c",)) is not None
+        cache.put(("a",), self._entry())
+        cache.put(("b",), self._entry())
+        assert cache.get(("a",)) is not None  # refresh 'a'
+        cache.put(("c",), self._entry())  # evicts 'b', not 'a'
+        assert cache.get(("a",)) is not None
+        assert cache.get(("b",)) is None
+        assert cache.get(("c",)) is not None
 
     def test_stats_report_bound(self):
         cache = CompilationCache(max_entries=7)
         assert cache.stats()["max_entries"] == 7
         assert len(cache) == 0
-
-    def test_global_cache_size_env(self, monkeypatch):
-        from repro.core.pipeline import _default_cache_size
-
-        monkeypatch.delenv("REPRO_COMPILE_CACHE_SIZE", raising=False)
-        assert _default_cache_size() == 4096
-        monkeypatch.setenv("REPRO_COMPILE_CACHE_SIZE", "128")
-        assert _default_cache_size() == 128
-
-    @pytest.mark.parametrize("raw", ["not-a-number", "0", "-5"])
-    def test_invalid_cache_size_warns_and_uses_default(self, monkeypatch, raw):
-        # Regression: 0/negative used to be silently clamped to 1, turning
-        # the global cache into a single-entry thrash machine.
-        from repro.core.pipeline import _default_cache_size
-
-        monkeypatch.setenv("REPRO_COMPILE_CACHE_SIZE", raw)
-        with pytest.warns(RuntimeWarning, match="REPRO_COMPILE_CACHE_SIZE"):
-            assert _default_cache_size() == 4096
 
 
 class TestCacheCli:

@@ -291,7 +291,7 @@ class TestNoDeviceCopyDeterminism:
         run_study(**kwargs, workers=1)
         from repro.experiments.engine import _SIM_CACHE
 
-        vector = next(iter(_SIM_CACHE.values()))
+        vector = next(iter(_SIM_CACHE._entries.values()))
         with pytest.raises((ValueError, RuntimeError)):
             vector[0] = 1.0
 
@@ -312,7 +312,7 @@ class TestIdealCacheLRU:
             qv_circuit(2, rng=np.random.default_rng(index)) for index in range(3)
         ]
         clear_experiment_caches()
-        monkeypatch.setattr(engine, "_IDEAL_CACHE_MAX_ENTRIES", 2)
+        monkeypatch.setattr(engine._IDEAL_CACHE, "max_entries", 2)
 
         ideal_distribution_cached(circuits[0])  # miss: cache [0]
         ideal_distribution_cached(circuits[1])  # miss: cache [0, 1]
@@ -333,7 +333,7 @@ class TestIdealCacheLRU:
         from repro.experiments.engine import ideal_cache_stats, ideal_distribution_cached
 
         clear_experiment_caches()
-        monkeypatch.setattr(engine, "_IDEAL_CACHE_MAX_ENTRIES", 2)
+        monkeypatch.setattr(engine._IDEAL_CACHE, "max_entries", 2)
         for index in range(3):
             ideal_distribution_cached(qv_circuit(2, rng=np.random.default_rng(index)))
         stats = ideal_cache_stats()

@@ -41,6 +41,7 @@ from repro.simulators.backend import (
     reset_backend_invocation_counts,
     resolve_backend,
 )
+from repro.simulators import noise_program as noise_program_module
 from repro.simulators.estimator import program_fidelity_estimate
 from repro.simulators.noise_model import NoiseModel
 from repro.simulators.noise_program import (
@@ -304,28 +305,15 @@ class TestNoiseProgram:
 
     def test_program_cache_bound_is_configurable(self, compiled_job, monkeypatch):
         compiled, device = compiled_job
-        monkeypatch.setenv("REPRO_PROGRAM_CACHE_SIZE", "3")
-        clear_noise_program_cache()  # re-reads the environment variable
+        monkeypatch.setattr(noise_program_module._PROGRAM_CACHE, "max_entries", 3)
+        clear_noise_program_cache()
         noise_program_for(compiled, device)
         stats = noise_program_cache_stats()
         assert stats["max_entries"] == 3
         assert stats["entries"] == 1
         clear_noise_program_cache()
 
-    def test_invalid_program_cache_bound_warns_and_defaults(
-        self, compiled_job, monkeypatch
-    ):
-        compiled, device = compiled_job
-        for invalid in ("0", "-5", "many"):
-            monkeypatch.setenv("REPRO_PROGRAM_CACHE_SIZE", invalid)
-            clear_noise_program_cache()
-            with pytest.warns(RuntimeWarning, match="REPRO_PROGRAM_CACHE_SIZE"):
-                noise_program_for(compiled, device)
-            assert noise_program_cache_stats()["max_entries"] == 256
-        clear_noise_program_cache()
-
-    def test_default_bound_reported_in_stats(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROGRAM_CACHE_SIZE", raising=False)
+    def test_default_bound_reported_in_stats(self):
         clear_noise_program_cache()
         assert noise_program_cache_stats()["max_entries"] == 256
 
