@@ -1,23 +1,30 @@
-"""Closed-form sub-exact layer counts against the all-counts reference loop.
+"""Lazy, bound-driven NuOp profiles against the all-counts reference loop.
 
 Replays every NuOp query of the cold design study: the eight benchmark
 specs of ``tests/golden/design_study_compiled.json`` are compiled once
 with a recording decomposer, which collects each
 ``decompose_approximate`` call (the study's distinct targets x its
-distinct gate types and families).  The calls are then answered twice
-from a cold profile cache:
+distinct gate types and families) with the ``floor`` it was given.
+The calls are then answered twice from a cold profile cache:
 
-* **closed form** -- ``NuOpDecomposer.decompose_approximate`` as shipped;
+* **shipped** -- ``NuOpDecomposer.decompose_approximate`` as shipped,
+  each instruction-set query's later gate types floored by the best
+  ``F_d * F_h`` so far, as ``decompose_with_instruction_set`` does;
 * **reference** -- the profile loop that optimises every layer count on
-  one shared restart generator (a test-local copy), then Eq. 2.
+  one shared restart generator (a test-local copy), then Eq. 2 per type
+  and the per-type ``+1e-12`` selection over each query.
 
 Recorded in the ``BENCH_17.json`` artifact when run with
-``REPRO_BENCH_JSON=BENCH_17.json``: calls, distinct profiles, objective
-evaluations and wall time of both paths, and how many layer counts the
-shipped profiles optimised (directly, or after a query selected them)
-and answered in closed form.  The asserts check equality only:
-every decomposition is byte-identical.  Evaluation counts and wall times
-are recorded, never asserted.
+``REPRO_BENCH_JSON=BENCH_17.json``: calls, queries, distinct profiles,
+objective evaluations and wall time of both paths, how many layer counts
+the shipped profiles optimised (directly, or after a query selected
+them), answered in closed form or never examined, and how many gate
+types the floor pruned.  The asserts check that every decomposition the
+shipped path returns, and every query's winner, is byte-identical to the
+reference; that a pruned type would not have won its query; and that the
+shipped path makes no more objective evaluations than the reference
+(it optimises a subset of the reference's counts from the same restart
+draws).  Wall times are recorded, never asserted.
 """
 
 from __future__ import annotations
@@ -65,17 +72,28 @@ def reference_approximate(profile, gate_fidelity, single_qubit_fidelity):
     return best, best_hardware
 
 
+def keeps(best, candidate):
+    """``decompose_with_instruction_set``'s rule: a later type wins by > 1e-12."""
+    if candidate is None:
+        return False
+    return best is None or candidate.overall_fidelity > best.overall_fidelity + 1e-12
+
+
 def _record_study_calls(monkeypatch):
-    """Every ``decompose_approximate`` call of one cold design-study compile."""
+    """Every ``decompose_approximate`` call of one cold design-study compile.
+
+    Each call is recorded with the ``floor`` it was given: ``None`` starts
+    a new instruction-set query (its first gate type, or a continuous set).
+    """
     calls = []
     original = NuOpDecomposer.decompose_approximate
 
     def recording(self, target, gate=None, family=None, gate_fidelity=1.0,
-                  single_qubit_fidelity=1.0, max_layers=None, label=None):
+                  single_qubit_fidelity=1.0, max_layers=None, label=None, **kwargs):
         calls.append((np.array(target), gate, family, gate_fidelity,
-                      single_qubit_fidelity, max_layers, label))
+                      single_qubit_fidelity, max_layers, label, kwargs.get("floor")))
         return original(self, target, gate, family, gate_fidelity,
-                        single_qubit_fidelity, max_layers, label)
+                        single_qubit_fidelity, max_layers, label, **kwargs)
 
     catalogues = {"google": google_catalogue(), "rigetti": rigetti_catalogue()}
     with monkeypatch.context() as patch:
@@ -90,6 +108,16 @@ def _record_study_calls(monkeypatch):
     return calls
 
 
+def assert_same_decomposition(got, want):
+    assert got.num_layers == want.num_layers
+    assert got.gate_type_label == want.gate_type_label
+    assert got.decomposition_fidelity == want.decomposition_fidelity
+    assert got.hardware_fidelity == want.hardware_fidelity
+    assert got.single_qubit_params.tobytes() == want.single_qubit_params.tobytes()
+    for mine, theirs in zip(got.hardware_gates, want.hardware_gates):
+        assert mine.matrix.tobytes() == theirs.matrix.tobytes()
+
+
 def test_bench_closed_form_profile(monkeypatch, bench_json_record):
     calls = _record_study_calls(monkeypatch)
     decomposer = NuOpDecomposer()
@@ -102,12 +130,21 @@ def test_bench_closed_form_profile(monkeypatch, bench_json_record):
 
     monkeypatch.setattr(TemplateSpec, "objective_with_gradient", counted)
 
+    # Shipped: each query's later gate types get the best so far as floor.
     clear_profile_cache()
     started = time.perf_counter()
-    shipped = [
-        decomposer.decompose_approximate(target, gate, family, fh, f1q, layers, label)
-        for target, gate, family, fh, f1q, layers, label in calls
-    ]
+    shipped, winners = [], []
+    for target, gate, family, fh, f1q, layers, label, floor in calls:
+        if floor is None:
+            winners.append(None)
+        else:
+            floor = winners[-1].overall_fidelity
+        result = decomposer.decompose_approximate(
+            target, gate, family, fh, f1q, layers, label, floor=floor
+        )
+        shipped.append(result)
+        if keeps(winners[-1], result):
+            winners[-1] = result
     shipped_s = time.perf_counter() - started
     shipped_evals = evaluations[0]
 
@@ -118,55 +155,70 @@ def test_bench_closed_form_profile(monkeypatch, bench_json_record):
     # The shipped profiles as the queries left them (cache hits, no evals).
     optimised = skipped = 0
     seen = set()
-    for target, gate, family, _, _, layers, _ in calls:
+    for target, gate, family, _, _, layers, _, _ in calls:
         key = profile_key(target, gate, family, layers)
         if key not in seen:
             seen.add(key)
-            for solution in decomposer.fidelity_profile(target, gate, family, layers):
+            for solution in decomposer._cached_profile(target, gate, family, layers)[1].entries:
                 optimised += solution.parameters is not None
                 skipped += solution.parameters is None
     clear_profile_cache()
 
+    # Reference: every count of every type optimised, then Eq. 2 per type
+    # and the per-type selection over each query.
     evaluations[0] = 0
     profiles = {}
-    expected = []
+    expected, kept, expected_winners = [], [], []
     started = time.perf_counter()
-    for target, gate, family, fh, f1q, layers, label in calls:
+    for target, gate, family, fh, f1q, layers, label, floor in calls:
         key = profile_key(target, gate, family, layers)
         if key not in profiles:
             limit = decomposer.max_layers if layers is None else layers
             profiles[key] = reference_profile(decomposer, target, gate, family, limit)
         chosen, hardware = reference_approximate(profiles[key], fh, f1q)
-        expected.append(
-            decomposer._build_decomposition(target, chosen, gate, family, hardware, label)
-        )
+        want = decomposer._build_decomposition(target, chosen, gate, family, hardware, label)
+        if floor is None:
+            expected_winners.append(None)
+        expected.append(want)
+        kept.append(keeps(expected_winners[-1], want))
+        if kept[-1]:
+            expected_winners[-1] = want
     reference_s = time.perf_counter() - started
     reference_evals = evaluations[0]
 
-    for got, want in zip(shipped, expected):
-        assert got.num_layers == want.num_layers
-        assert got.decomposition_fidelity == want.decomposition_fidelity
-        assert got.hardware_fidelity == want.hardware_fidelity
-        assert got.single_qubit_params.tobytes() == want.single_qubit_params.tobytes()
-        for mine, theirs in zip(got.hardware_gates, want.hardware_gates):
-            assert mine.matrix.tobytes() == theirs.matrix.tobytes()
+    for got, want, was_kept in zip(shipped, expected, kept):
+        if got is None:
+            assert not was_kept  # a pruned type never wins its query
+        else:
+            assert_same_decomposition(got, want)
+    assert len(winners) == len(expected_winners)
+    for got, want in zip(winners, expected_winners):
+        assert_same_decomposition(got, want)
+    assert shipped_evals <= reference_evals
 
     targets = {decomposer._target_cache_key(call[0]) for call in calls}
+    reference_counts = sum(len(profile) for profile in profiles.values())
+    pruned = sum(result is None for result in shipped)
     print(
-        f"\nclosed-form profile: {len(calls)} calls, {len(profiles)} profiles "
-        f"({len(targets)} targets); evals {reference_evals} -> {shipped_evals}, "
+        f"\nclosed-form profile: {len(calls)} calls in {len(winners)} queries, "
+        f"{len(profiles)} profiles ({len(targets)} targets); "
+        f"evals {reference_evals} -> {shipped_evals}, "
         f"wall {reference_s:.2f}s -> {shipped_s:.2f}s; "
-        f"{optimised} counts optimised, {skipped} answered in closed form"
+        f"{optimised} counts optimised, {skipped} answered in closed form, "
+        f"{reference_counts - optimised - skipped} never examined; {pruned} types pruned"
     )
     bench_json_record(
         calls=len(calls),
+        queries=len(winners),
         profiles=len(profiles),
         targets=len(targets),
         reference_evals=reference_evals,
         closed_form_evals=shipped_evals,
         reference_s=round(reference_s, 4),
         closed_form_s=round(shipped_s, 4),
-        reference_counts=sum(len(profile) for profile in profiles.values()),
+        reference_counts=reference_counts,
         optimised_counts=optimised,
         closed_form_counts=skipped,
+        unexamined_counts=reference_counts - optimised - skipped,
+        pruned_types=pruned,
     )

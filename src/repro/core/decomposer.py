@@ -10,11 +10,14 @@ noise-aware mode, Eq. 2).
 
 The expensive part -- the per-layer-count optimisation -- depends only on
 the target unitary and the hardware gate type, so results are cached and
-re-used across qubit pairs and across circuits.  Layer counts that are
-clearly below exact exist only to report their ``F_d`` to Eq. 2; where
-that value has a closed form in the Weyl coordinates of the target and
-the gate (:func:`closed_form_fidelity`), the profile records it instead
-of optimising, and optimises such a count only if a query selects it.
+re-used across qubit pairs and across circuits.  A profile examines layer
+counts in ascending order and only as far as a query needs them: Eq. 2
+cannot pick a deeper count once ``F_h`` alone rules it out.  Layer counts
+that are clearly below exact exist only to report their ``F_d`` to Eq. 2;
+where that value has a closed form in the Weyl coordinates of the target
+and the gate (:func:`closed_form_fidelity`), the profile records it
+instead of optimising, and optimises such a count only if a query selects
+it.
 """
 
 from __future__ import annotations
@@ -166,14 +169,39 @@ class LayerSolution:
 
     ``parameters`` is ``None`` when ``fidelity`` is a closed-form value the
     optimiser has not run for.  ``rng_offset`` counts the restart draws the
-    profile's shared generator made before this count, so the count can
-    later be optimised exactly as the profile loop would have.
+    counts below this one take from the profile's restart generator; the
+    count is optimised on the generator advanced that far, so it gets the
+    same draws whenever, and in whatever order, counts are optimised.
     """
 
     num_layers: int
     fidelity: float
     parameters: Optional[np.ndarray]
     rng_offset: int = 0
+
+
+@dataclass(frozen=True)
+class _Profile:
+    """A fidelity profile examined from count 0 up to ``len(entries) - 1``.
+
+    ``next_offset`` is the restart-generator offset of the next count and
+    ``complete`` says no count is left to examine (the last one reached
+    the exact threshold or the layer limit).  Records are never mutated:
+    examining or optimising a count makes a new one, so a completed
+    record's list can be handed out as is.
+    """
+
+    entries: List[LayerSolution]
+    next_offset: int
+    complete: bool
+
+    @property
+    def candidates(self) -> List[LayerSolution]:
+        """The entries plus, while incomplete, a frontier entry for the next
+        count with ``F_d`` bound 1.0 and no parameters."""
+        if self.complete:
+            return self.entries
+        return self.entries + [LayerSolution(len(self.entries), 1.0, None, self.next_offset)]
 
 
 @dataclass
@@ -247,6 +275,10 @@ class TwoQubitDecomposition:
 class NuOpDecomposer:
     """Numerical-optimisation decomposer for two-qubit unitaries.
 
+    Fidelity profiles live in a process-wide LRU and grow on demand: a
+    query examines (answers in closed form, or optimises) the next layer
+    count only when Eq. 2 or the exact rule could still pick it.
+
     Parameters
     ----------
     max_layers:
@@ -258,8 +290,8 @@ class NuOpDecomposer:
     maxiter:
         BFGS iteration cap per restart.
     exact_threshold:
-        ``F_d`` above which a decomposition is treated as exact and layer
-        growth stops.
+        ``F_d`` above which a decomposition is treated as exact; a profile
+        examines no count past the first one reaching it.
     seed:
         Seed of the restart generator (results are deterministic for a
         fixed seed).
@@ -391,14 +423,20 @@ class NuOpDecomposer:
         """Best ``F_d`` for every layer count from 0 up to ``max_layers``.
 
         Either ``gate`` (a fixed hardware gate) or ``family`` (``"xy"`` /
-        ``"fsim"``) must be provided.  Layer growth stops early once the
-        exact threshold is reached; the profile is cached in the
-        process-wide LRU.  Entries with ``parameters=None`` hold a
-        closed-form ``F_d`` (see :func:`closed_form_fidelity`) that is at
-        least the optimiser's value; the decomposition queries optimise
-        such an entry only when they select it.
+        ``"fsim"``) must be provided.  The profile stops at the first count
+        that reaches the exact threshold.  Decomposition queries examine
+        counts only as far as Eq. 2 or the exact rule needs them (see
+        :meth:`_select`); this call examines the rest and, until a query
+        changes the profile, returns the cached list itself.  Entries with
+        ``parameters=None`` hold a closed-form ``F_d`` (see
+        :func:`closed_form_fidelity`) that is at least the optimiser's
+        value; the queries optimise such an entry only when they select it.
         """
-        return self._cached_profile(target, gate, family, max_layers)[1]
+        cache_key, profile, solve = self._cached_profile(target, gate, family, max_layers)
+        while not profile.complete:
+            profile = solve(profile, profile.candidates[-1])
+            _PROFILE_CACHE.put(cache_key, profile)
+        return profile.entries
 
     def _cached_profile(
         self,
@@ -406,7 +444,20 @@ class NuOpDecomposer:
         gate: Optional[Gate],
         family: Optional[str],
         max_layers: Optional[int],
-    ) -> Tuple[Tuple, List[LayerSolution]]:
+    ) -> Tuple[Tuple, _Profile, Callable[[_Profile, LayerSolution], _Profile]]:
+        """The query's LRU key, its profile so far, and its ``solve`` step.
+
+        ``solve(profile, entry)`` examines ``entry``, the frontier or a
+        closed-form count.  A new count whose closed-form infidelity is
+        beyond both the near-miss band and the exact threshold is not
+        optimised: the optimiser could neither reach exact there nor run
+        confirmation restarts, so its draws are exactly its random starts,
+        and the next count's offset skips them.  Any other count is
+        optimised on the restart generator advanced to its offset.  Counts
+        are examined in ascending order, so every optimised count sees the
+        same draws, and returns the same parameters, as when every count
+        is optimised.
+        """
         if (gate is None) == (family is None):
             raise ValueError("provide exactly one of 'gate' or 'family'")
         limit = self.max_layers if max_layers is None else int(max_layers)
@@ -414,55 +465,32 @@ class NuOpDecomposer:
         cache_key = self._profile_cache_key(
             target_key, gate.type_key if gate is not None else f"family:{family}", limit
         )
-        profile = _PROFILE_CACHE.get(cache_key)
-        if profile is None:
-            profile = self._optimised_profile(target, target_key, gate, family, limit)
-            _PROFILE_CACHE.put(cache_key, profile)
-        return cache_key, profile
-
-    def _optimised_profile(
-        self,
-        target: np.ndarray,
-        target_key: bytes,
-        gate: Optional[Gate],
-        family: Optional[str],
-        limit: int,
-    ) -> List[LayerSolution]:
-        """Per-layer profile on one shared restart generator.
-
-        A count whose closed-form infidelity is beyond both the near-miss
-        band and the exact threshold is not optimised: the optimiser could
-        neither reach exact there nor run confirmation restarts, so its
-        draws are exactly its random starts, and the generator is advanced
-        past them.  Every optimised count therefore sees the same draws,
-        and returns the same parameters, as when every count is optimised.
-        """
         skip_above = max(NEAR_MISS_INFIDELITY, 1.0 - self.exact_threshold) + 1e-9
-        target_point = _weyl_point(target_key, target)
-        gate_point = None
-        if gate is not None:
-            gate_point = _weyl_point(self._target_cache_key(gate.matrix), gate.matrix)
-        analysable = target_point is not None and (gate is None or gate_point is not None)
-        rng = np.random.default_rng(self.seed)
-        offset = 0
-        profile: List[LayerSolution] = []
-        for num_layers in range(limit + 1):
-            template = self._make_template(num_layers, gate, family)
+
+        def solve(profile: _Profile, entry: LayerSolution) -> _Profile:
+            entries, count = profile.entries, entry.num_layers
+            template = self._make_template(count, gate, family)
             bound = None
-            if analysable:
-                bound = closed_form_fidelity(target_point, gate_point, family, num_layers)
+            if count == len(entries):
+                target_point = _weyl_point(target_key, target)
+                gate_point = None
+                if gate is not None:
+                    gate_point = _weyl_point(self._target_cache_key(gate.matrix), gate.matrix)
+                if target_point is not None and (gate is None or gate_point is not None):
+                    bound = closed_form_fidelity(target_point, gate_point, family, count)
             if bound is not None and 1.0 - bound > skip_above:
+                solved = replace(entry, fidelity=bound)
                 draws = self._num_random_starts(template) * template.num_parameters
-                rng.bit_generator.advance(draws)
-                profile.append(LayerSolution(num_layers, bound, None, offset))
-                offset += draws
-                continue
-            fidelity, params, draws = self._optimise_template(target, template, rng)
-            profile.append(LayerSolution(num_layers, fidelity, params, offset))
-            offset += draws
-            if fidelity >= self.exact_threshold:
-                break
-        return profile
+            else:
+                rng = np.random.Generator(np.random.PCG64(self.seed).advance(entry.rng_offset))
+                fidelity, params, draws = self._optimise_template(target, template, rng)
+                solved = replace(entry, fidelity=fidelity, parameters=params)
+            if count < len(entries):
+                return replace(profile, entries=[solved if e is entry else e for e in entries])
+            exact = solved.parameters is not None and solved.fidelity >= self.exact_threshold
+            return _Profile(entries + [solved], entry.rng_offset + draws, exact or count >= limit)
+
+        return cache_key, _PROFILE_CACHE.get(cache_key) or _Profile([], 0, limit < 0), solve
 
     def _select(
         self,
@@ -470,27 +498,27 @@ class NuOpDecomposer:
         gate: Optional[Gate],
         family: Optional[str],
         max_layers: Optional[int],
-        pick: Callable[[List[LayerSolution]], LayerSolution],
-    ) -> LayerSolution:
-        """The profile entry ``pick`` selects, optimised if it was skipped.
+        pick: Callable[[List[LayerSolution]], Optional[LayerSolution]],
+    ) -> Optional[LayerSolution]:
+        """The profile entry ``pick`` selects, examining only what it needs.
 
-        An optimised entry replaces its closed-form one (the updated
-        profile goes back into the LRU) and ``pick`` runs again.  Closed
-        forms are never below the optimiser's value, so this ends on the
-        entry ``pick`` selects from a fully optimised profile.
+        ``pick`` sees the profile's candidates: the frontier entry's bound
+        of 1.0 is safe because ``F_d <= 1`` and ``F_h`` does not grow with
+        the count, so no deeper count can beat it.  Choosing the frontier
+        examines that count; choosing a closed-form entry optimises it.
+        Either way the updated profile goes back into the LRU (counting no
+        hit or miss) and ``pick`` runs again.  Closed forms are never
+        below the optimiser's value, so this ends on the entry ``pick``
+        selects from the fully optimised profile, or on ``None`` when
+        ``pick`` gives up on an unoptimised entry.
         """
-        cache_key, profile = self._cached_profile(target, gate, family, max_layers)
-        chosen = pick(profile)
-        while chosen.parameters is None:
-            template = self._make_template(chosen.num_layers, gate, family)
-            rng = np.random.default_rng(self.seed)
-            rng.bit_generator.advance(chosen.rng_offset)
-            fidelity, params, _ = self._optimise_template(target, template, rng)
-            solved = replace(chosen, fidelity=fidelity, parameters=params)
-            profile = [solved if entry is chosen else entry for entry in profile]
+        cache_key, profile, solve = self._cached_profile(target, gate, family, max_layers)
+        while True:
+            chosen = pick(profile.candidates)
+            if chosen is None or chosen.parameters is not None:
+                return chosen
+            profile = solve(profile, chosen)
             _PROFILE_CACHE.put(cache_key, profile)
-            chosen = pick(profile)
-        return chosen
 
     # -- decomposition construction ------------------------------------------------
 
@@ -558,13 +586,21 @@ class NuOpDecomposer:
         single_qubit_fidelity: float = 1.0,
         max_layers: Optional[int] = None,
         label: Optional[str] = None,
-    ) -> TwoQubitDecomposition:
+        *,
+        floor: Optional[float] = None,
+    ) -> Optional[TwoQubitDecomposition]:
         """Decomposition maximising ``F_d * F_h`` (Eq. 2).
 
         ``gate_fidelity`` is the calibrated fidelity of the hardware
         two-qubit gate on the edge where the decomposition will run;
         ``single_qubit_fidelity`` optionally accounts for the interleaved
-        U3 layers (two gates per boundary).
+        U3 layers (two gates per boundary).  Both are taken to lie in [0, 1].
+
+        ``floor`` is an ``F_d * F_h`` the caller already has (another gate
+        type's).  When Eq. 2 lands on a count not yet optimised whose
+        bound times ``F_h`` is at most ``floor``, no count of this type
+        can beat ``floor`` by more than Eq. 2's 1e-12 tie margin, and
+        ``None`` is returned without optimising anything.
         """
 
         def hardware_fidelity(solution: LayerSolution) -> float:
@@ -579,9 +615,13 @@ class NuOpDecomposer:
                 if overall > best_overall + 1e-12:
                     best_overall = overall
                     best_solution = solution
+            if floor is not None and best_solution.parameters is None and best_overall <= floor:
+                return None
             return best_solution
 
         chosen = self._select(target, gate, family, max_layers, maximising_overall)
+        if chosen is None:
+            return None
         return self._build_decomposition(
             target, chosen, gate, family, hardware_fidelity(chosen), label
         )

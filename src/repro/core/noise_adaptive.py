@@ -44,46 +44,41 @@ def decompose_with_instruction_set(
         :attr:`GateType.type_key`) on the qubit pair where the operation
         will execute.  Missing keys fall back to ``default_gate_fidelity``.
     approximate:
-        Use the Eq. 2 objective (default).  When False, exact
-        decompositions are produced and ranked by ``F_h`` alone.
+        Use the Eq. 2 objective (default): each gate type's ``F_d * F_h``
+        optimum, and a type is skipped as soon as its bounds show it
+        cannot beat the best type so far.  When False, each type's exact
+        decomposition is produced.  Either way types are ranked by
+        ``F_d * F_h`` on the edge, and a later type replaces an earlier
+        one only when it is better by more than 1e-12.
     single_qubit_fidelity:
         Optional fidelity of the interleaved single-qubit gates.
     """
     edge_fidelities = edge_fidelities or {}
-
     if instruction_set.is_continuous:
-        family = instruction_set.continuous_family
-        fidelity = edge_fidelities.get("*", default_gate_fidelity)
+        # The whole family is one candidate, calibrated under the "*" key.
+        candidates = [(None, instruction_set.continuous_family, "*", instruction_set.name)]
+    else:
+        candidates = [(t.gate, None, t.type_key, t.label) for t in instruction_set.gate_types]
+
+    best: Optional[TwoQubitDecomposition] = None
+    for gate, family, key, label in candidates:
+        fidelity = edge_fidelities.get(key, default_gate_fidelity)
         if approximate:
-            return decomposer.decompose_approximate(
+            candidate = decomposer.decompose_approximate(
                 target,
+                gate=gate,
                 family=family,
                 gate_fidelity=fidelity,
                 single_qubit_fidelity=single_qubit_fidelity,
                 max_layers=max_layers,
-                label=instruction_set.name,
+                label=label,
+                floor=None if best is None else best.overall_fidelity,
             )
-        decomposition = decomposer.decompose_exact(
-            target, family=family, max_layers=max_layers, label=instruction_set.name
-        )
-        decomposition.hardware_fidelity = fidelity**decomposition.num_layers
-        return decomposition
-
-    best: Optional[TwoQubitDecomposition] = None
-    for gate_type in instruction_set.gate_types:
-        fidelity = edge_fidelities.get(gate_type.type_key, default_gate_fidelity)
-        if approximate:
-            candidate = decomposer.decompose_approximate(
-                target,
-                gate=gate_type.gate,
-                gate_fidelity=fidelity,
-                single_qubit_fidelity=single_qubit_fidelity,
-                max_layers=max_layers,
-                label=gate_type.label,
-            )
+            if candidate is None:
+                continue
         else:
             candidate = decomposer.decompose_exact(
-                target, gate=gate_type.gate, max_layers=max_layers, label=gate_type.label
+                target, gate=gate, family=family, max_layers=max_layers, label=label
             )
             candidate.hardware_fidelity = fidelity**candidate.num_layers
         if best is None or candidate.overall_fidelity > best.overall_fidelity + 1e-12:
