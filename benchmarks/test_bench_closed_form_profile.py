@@ -18,8 +18,9 @@ Recorded in the ``BENCH_17.json`` artifact when run with
 ``REPRO_BENCH_JSON=BENCH_17.json``: calls, queries, distinct profiles,
 objective evaluations and wall time of both paths, how many layer counts
 the shipped profiles optimised (directly, or after a query selected
-them), answered in closed form or never examined, and how many gate
-types the floor pruned.  The asserts check that every decomposition the
+them), answered in closed form (also split by form: no layer, one fixed
+layer, two supercontrolled layers, one FullXY layer, one FullfSim layer)
+or never examined, and how many gate types the floor pruned.  The asserts check that every decomposition the
 shipped path returns, and every query's winner, is byte-identical to the
 reference; that a pruned type would not have won its query; and that the
 shipped path makes no more objective evaluations than the reference
@@ -108,6 +109,15 @@ def _record_study_calls(monkeypatch):
     return calls
 
 
+def closed_form_kind(num_layers, family):
+    """Which closed form of ``closed_form_fidelity`` answered a count."""
+    if num_layers == 0:
+        return "none"
+    if family is None:
+        return "fixed_L1" if num_layers == 1 else "supercontrolled_L2"
+    return {"xy": "FullXY_L1", "fsim": "FullfSim_L1"}[family]
+
+
 def assert_same_decomposition(got, want):
     assert got.num_layers == want.num_layers
     assert got.gate_type_label == want.gate_type_label
@@ -154,6 +164,9 @@ def test_bench_closed_form_profile(monkeypatch, bench_json_record):
 
     # The shipped profiles as the queries left them (cache hits, no evals).
     optimised = skipped = 0
+    skipped_by_form = dict.fromkeys(
+        ("none", "fixed_L1", "supercontrolled_L2", "FullXY_L1", "FullfSim_L1"), 0
+    )
     seen = set()
     for target, gate, family, _, _, layers, _, _ in calls:
         key = profile_key(target, gate, family, layers)
@@ -161,7 +174,9 @@ def test_bench_closed_form_profile(monkeypatch, bench_json_record):
             seen.add(key)
             for solution in decomposer._cached_profile(target, gate, family, layers)[1].entries:
                 optimised += solution.parameters is not None
-                skipped += solution.parameters is None
+                if solution.parameters is None:
+                    skipped += 1
+                    skipped_by_form[closed_form_kind(solution.num_layers, family)] += 1
     clear_profile_cache()
 
     # Reference: every count of every type optimised, then Eq. 2 per type
@@ -195,16 +210,18 @@ def test_bench_closed_form_profile(monkeypatch, bench_json_record):
     for got, want in zip(winners, expected_winners):
         assert_same_decomposition(got, want)
     assert shipped_evals <= reference_evals
+    assert skipped_by_form["FullfSim_L1"] > 0
 
     targets = {decomposer._target_cache_key(call[0]) for call in calls}
     reference_counts = sum(len(profile) for profile in profiles.values())
     pruned = sum(result is None for result in shipped)
+    forms = ", ".join(f"{kind} {count}" for kind, count in skipped_by_form.items())
     print(
         f"\nclosed-form profile: {len(calls)} calls in {len(winners)} queries, "
         f"{len(profiles)} profiles ({len(targets)} targets); "
         f"evals {reference_evals} -> {shipped_evals}, "
         f"wall {reference_s:.2f}s -> {shipped_s:.2f}s; "
-        f"{optimised} counts optimised, {skipped} answered in closed form, "
+        f"{optimised} counts optimised, {skipped} answered in closed form ({forms}), "
         f"{reference_counts - optimised - skipped} never examined; {pruned} types pruned"
     )
     bench_json_record(
@@ -219,6 +236,7 @@ def test_bench_closed_form_profile(monkeypatch, bench_json_record):
         reference_counts=reference_counts,
         optimised_counts=optimised,
         closed_form_counts=skipped,
+        closed_form_counts_by_form=skipped_by_form,
         unexamined_counts=reference_counts - optimised - skipped,
         pruned_types=pruned,
     )

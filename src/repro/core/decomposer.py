@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
 from repro.caching.lru import MISSING, register_cache
 from repro.circuits.circuit import Operation, QuantumCircuit
@@ -80,6 +80,8 @@ def clear_profile_cache() -> None:
 # * no layer:        F_d = trace(t);
 # * one fixed layer: F_d = max over the 8 sign vectors s of trace(t - s g);
 # * one XY layer:    the same, maximised over theta with g = (theta/4, theta/4, 0);
+# * one fSim layer:  the same, maximised over theta and phi with
+#                    g = (theta/2, theta/2, phi/4) in every coordinate order;
 # * two layers of a supercontrolled gate (g = (pi/4, b, 0)): F_d = |cos t_z|.
 #
 # Weyl coordinates depend only on the local-equivalence class, so each
@@ -89,9 +91,6 @@ def clear_profile_cache() -> None:
 _COORDINATE_CACHE = register_cache("weyl coordinates", PROFILE_CACHE_SIZE)
 
 _SIGN_VECTORS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
-_XY_DIRECTIONS = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]])
-_XY_GRID = np.linspace(0.0, np.pi, 129)
-"""``a = theta / 4`` over one period of ``trace(t - a d)`` for ``XY(theta)``."""
 
 
 def _weyl_point(key: bytes, matrix: np.ndarray) -> Optional[np.ndarray]:
@@ -117,24 +116,39 @@ def _trace_fidelity(points: np.ndarray) -> np.ndarray:
 def _xy_layer_fidelity(target: np.ndarray) -> float:
     """Best ``F_d`` of one ``XY(theta)`` layer over every ``theta``.
 
-    The grid locates each local maximum within 0.05 of the best grid
-    value (the grid's worst-case shortfall is ~1e-3), and a bounded
-    scalar search refines it.
+    ``XY(theta)`` is locally equivalent to ``A(a, a, 0)`` with
+    ``a = theta / 4``, so one layer reaches ``trace(t - s * (a, a, 0))``
+    for every ``a`` and sign vector ``s`` (for a chamber target ``t``,
+    other placements of ``(a, a, 0)`` never do better).  With ``u``, ``v`` the first
+    two coordinates of ``t - s * (a, a, 0)``, ``2 cos u cos v`` and
+    ``2 sin u sin v`` are ``cos d +- cos w``, where ``d = t_x -+ t_y`` is
+    fixed and ``w = u +- v`` is free in ``a``.  So ``4 trace^2`` is
+    ``cos^2 t_z (cos d + cos w)^2 + sin^2 t_z (cos d - cos w)^2``, convex
+    in ``cos w`` and largest at ``cos w = +-1``.
     """
-    values = _trace_fidelity(target - _XY_DIRECTIONS[:, None, :] * _XY_GRID[:, None])
-    best = float(values.max())
-    step = _XY_GRID[1]
-    for direction, row in zip(_XY_DIRECTIONS, values):
-        peaks = (row >= np.roll(row, 1)) & (row >= np.roll(row, -1)) & (row > best - 0.05)
-        for centre in _XY_GRID[peaks]:
-            refined = minimize_scalar(
-                lambda a: -float(_trace_fidelity(target - a * direction)),
-                bounds=(centre - step, centre + step),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            best = max(best, -float(refined.fun))
-    return best
+    x, y, z = target
+    ends = np.cos(np.array([x - y, x + y]))
+    ends = np.concatenate([ends, -ends])
+    return 0.5 * float(np.hypot(np.cos(z) * (1.0 + ends), np.sin(z) * (1.0 - ends)).max())
+
+
+def _fsim_layer_fidelity(target: np.ndarray) -> float:
+    """Best ``F_d`` of one ``fSim(theta, phi)`` layer over every angle pair.
+
+    ``fSim(theta, phi)`` is locally equivalent to ``A(a, a, c)`` with
+    ``a = theta / 2`` and ``c = phi / 4``, and every Weyl image of a gate
+    is reachable with local layers, so one layer reaches
+    ``trace(t - s * p)`` for every ``a``, ``c``, placement ``p`` of
+    ``(a, a, c)`` and sign vector ``s``.  As in
+    :func:`_xy_layer_fidelity`, with ``(k, l)`` the coordinates carrying
+    ``a`` and ``d = t_k -+ t_l``, ``4 trace^2`` is
+    ``cos^2 w' (cos d + cos w)^2 + sin^2 w' (cos d - cos w)^2``; here
+    ``w'``, the coordinate carrying ``c``, is free as well, so the peak
+    is ``(1 + |cos d|) / 2``, maximised over the three pairs and both signs.
+    """
+    x, y, z = target
+    pairs = np.array([x - y, x + y, x - z, x + z, y - z, y + z])
+    return 0.5 * (1.0 + float(np.abs(np.cos(pairs)).max()))
 
 
 def closed_form_fidelity(
@@ -145,7 +159,7 @@ def closed_form_fidelity(
     ``target`` and ``gate`` are chamber coordinates (``gate`` is ``None``
     for a continuous ``family``).  Returns ``None`` where no closed form
     is implemented: three or more layers, two layers of a gate that is
-    not supercontrolled, two continuous layers, and one FullfSim layer.
+    not supercontrolled, and two continuous layers.
     """
     if num_layers == 0:
         return float(_trace_fidelity(target))
@@ -153,6 +167,8 @@ def closed_form_fidelity(
         return float(_trace_fidelity(target - _SIGN_VECTORS * gate).max())
     if num_layers == 1 and family == "xy":
         return _xy_layer_fidelity(target)
+    if num_layers == 1 and family == "fsim":
+        return _fsim_layer_fidelity(target)
     if (
         num_layers == 2
         and family is None

@@ -13,7 +13,7 @@ are variables as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -30,59 +30,67 @@ written under an older objective must never be served.  Bump on any
 change to the objective's arithmetic."""
 
 
-def _batched_u3(angles: np.ndarray) -> np.ndarray:
+_IDENTITY = np.eye(4)
+
+
+def _u3_factors(angles: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """``cos``/``sin`` of the half polar angle and the phase exponentials.
+
+    Returns ``(c, s, exp(i beta), exp(i lam), exp(i beta) exp(i lam))``
+    for ``angles[..., (alpha, beta, lam)]``, shared by :func:`_batched_u3`
+    and :func:`_batched_u3_derivatives`.
+    """
+    alpha = angles[..., 0]
+    eb = np.exp(1j * angles[..., 1])
+    el = np.exp(1j * angles[..., 2])
+    return np.cos(alpha / 2.0), np.sin(alpha / 2.0), eb, el, eb * el
+
+
+def _batched_u3(angles: np.ndarray, factors: Optional[Tuple[np.ndarray, ...]] = None) -> np.ndarray:
     """U3 matrices for a batch of angle triples.
 
     ``angles[..., (alpha, beta, lam)]`` maps to matrices of shape
     ``angles.shape[:-1] + (2, 2)`` in the convention of
-    :func:`repro.gates.parametric.u3`.
+    :func:`repro.gates.parametric.u3`.  ``factors`` is
+    :func:`_u3_factors` of ``angles`` when the caller already has it.
     """
-    alpha = angles[..., 0]
-    c = np.cos(alpha / 2.0)
-    s = np.sin(alpha / 2.0)
-    eb = np.exp(1j * angles[..., 1])
-    el = np.exp(1j * angles[..., 2])
+    c, s, eb, el, ebl = _u3_factors(angles) if factors is None else factors
     matrices = np.empty(angles.shape[:-1] + (2, 2), dtype=complex)
     matrices[..., 0, 0] = c
     matrices[..., 0, 1] = -el * s
     matrices[..., 1, 0] = eb * s
-    matrices[..., 1, 1] = eb * el * c
+    matrices[..., 1, 1] = ebl * c
     return matrices
 
 
-def _batched_u3_derivatives(angles: np.ndarray) -> np.ndarray:
+def _batched_u3_derivatives(
+    angles: np.ndarray, factors: Optional[Tuple[np.ndarray, ...]] = None
+) -> np.ndarray:
     """Partial derivatives of :func:`_batched_u3` along each of the three angles.
 
     Output shape is ``angles.shape[:-1] + (3, 2, 2)``: one 2x2 derivative
     matrix per angle, per batch element.
     """
-    alpha = angles[..., 0]
-    c = np.cos(alpha / 2.0)
-    s = np.sin(alpha / 2.0)
-    eb = np.exp(1j * angles[..., 1])
-    el = np.exp(1j * angles[..., 2])
-    ebl = eb * el
+    c, s, eb, el, ebl = _u3_factors(angles) if factors is None else factors
     derivatives = np.zeros(angles.shape[:-1] + (3, 2, 2), dtype=complex)
     derivatives[..., 0, 0, 0] = -0.5 * s
     derivatives[..., 0, 0, 1] = -0.5 * el * c
     derivatives[..., 0, 1, 0] = 0.5 * eb * c
     derivatives[..., 0, 1, 1] = -0.5 * ebl * s
     derivatives[..., 1, 1, 0] = 1j * eb * s
-    derivatives[..., 1, 1, 1] = 1j * ebl * c
+    derivatives[..., 1, 1, 1] = derivatives[..., 2, 1, 1] = 1j * ebl * c
     derivatives[..., 2, 0, 1] = -1j * el * s
-    derivatives[..., 2, 1, 1] = 1j * ebl * c
     return derivatives
 
 
-def _boundary_layers(single: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-qubit U3s and 4x4 blocks ``U3_a (x) U3_b`` of every boundary layer.
+def _boundary_blocks(locals_ab: np.ndarray) -> np.ndarray:
+    """4x4 blocks ``U3_a (x) U3_b`` of every boundary layer.
 
-    ``single`` has shape ``(boundaries, 2, 3)``; returns the U3 stack
-    ``(boundaries, 2, 2, 2)`` and the block stack ``(boundaries, 4, 4)``.
+    ``locals_ab`` is the U3 stack ``(boundaries, 2, 2, 2)``; returns the
+    block stack ``(boundaries, 4, 4)``.
     """
-    locals_ab = _batched_u3(single)
     blocks = np.einsum("nij,nkl->nikjl", locals_ab[:, 0], locals_ab[:, 1])
-    return locals_ab, blocks.reshape(-1, 4, 4)
+    return blocks.reshape(-1, 4, 4)
 
 
 @dataclass(frozen=True)
@@ -100,6 +108,7 @@ class TemplateSpec:
     num_layers: int
     two_qubit_family: str = "fixed"
     fixed_gate_matrix: Optional[np.ndarray] = None
+    _fixed_gates: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_layers < 0:
@@ -109,8 +118,11 @@ class TemplateSpec:
         if self.two_qubit_family == "fixed" and self.num_layers > 0:
             if self.fixed_gate_matrix is None:
                 raise ValueError("fixed templates need a gate matrix")
+            matrix = np.asarray(self.fixed_gate_matrix, dtype=complex)
+            object.__setattr__(self, "fixed_gate_matrix", matrix)
+            # Built once: every objective evaluation reuses the stack.
             object.__setattr__(
-                self, "fixed_gate_matrix", np.asarray(self.fixed_gate_matrix, dtype=complex)
+                self, "_fixed_gates", np.broadcast_to(matrix, (self.num_layers, 4, 4))
             )
 
     @property
@@ -156,7 +168,7 @@ class TemplateSpec:
         if self.num_layers == 0:
             return np.zeros((0, 4, 4), dtype=complex)
         if self.two_qubit_family == "fixed":
-            return np.broadcast_to(self.fixed_gate_matrix, (self.num_layers, 4, 4))
+            return self._fixed_gates
         gate = fsim if self.two_qubit_family == "fsim" else xy
         return np.array([gate(*row) for row in self._angle_rows(two_qubit_params)])
 
@@ -169,7 +181,7 @@ class TemplateSpec:
     def unitary(self, flat_params: np.ndarray) -> np.ndarray:
         """Unitary represented by the template for the given parameters."""
         single, two = self.split_parameters(flat_params)
-        _, boundary = _boundary_layers(single)
+        boundary = _boundary_blocks(_batched_u3(single))
         unitary = boundary[0]
         for gate, layer in zip(self.two_qubit_matrices(two), boundary[1:]):
             unitary = layer @ (gate @ unitary)
@@ -201,18 +213,26 @@ class TemplateSpec:
         entangling-angle derivatives use the gate-slot matrices
         ``K_n^dagger middle[n] G_n`` and only the few nonzero entries of
         ``dG``, so no 4x4 derivative is ever built.
+
+        Trigonometric factors are shared between the U3s and their
+        derivatives, and the fixed-gate stack is built with the template,
+        to save numpy dispatches.  Value and gradient bytes are pinned by
+        ``tests/golden/objective_digests.json``: a rewrite that keeps them
+        keeps :data:`OBJECTIVE_VERSION`, one that moves them bumps it.
         """
         single, two = self.split_parameters(flat_params)
         target = np.asarray(target, dtype=complex)
         num_layers = self.num_layers
         boundaries = num_layers + 1
-        locals_ab, boundary = _boundary_layers(single)
+        factors = _u3_factors(single)
+        locals_ab = _batched_u3(single, factors)
+        boundary = _boundary_blocks(locals_ab)
         gates = self.two_qubit_matrices(two)
 
         # before[n] = G_n K_{n-1} ... K_0 and after[n] = K_L G_L ... G_{n+1}.
         before = np.empty((boundaries, 4, 4), dtype=complex)
         after = np.empty((boundaries, 4, 4), dtype=complex)
-        before[0] = after[num_layers] = np.eye(4)
+        before[0] = after[num_layers] = _IDENTITY
         if num_layers:
             steps_up = gates @ boundary[:-1]
             steps_down = boundary[1:] @ gates
@@ -235,16 +255,12 @@ class TemplateSpec:
         # Tr((dA (x) B)^dagger M) = sum conj(dA)_ab conj(B)_cd M_acbd.
         blocks = middle.reshape(boundaries, 2, 2, 2, 2)
         conj_locals = locals_ab.conj()
-        reduced = np.stack(
-            [
-                np.einsum("ncd,nacbd->nab", conj_locals[:, 1], blocks),
-                np.einsum("nab,nacbd->ncd", conj_locals[:, 0], blocks),
-            ],
-            axis=1,
-        )
+        reduced = np.empty((boundaries, 2, 2, 2), dtype=complex)
+        np.einsum("ncd,nacbd->nab", conj_locals[:, 1], blocks, out=reduced[:, 0])
+        np.einsum("nab,nacbd->ncd", conj_locals[:, 0], blocks, out=reduced[:, 1])
         d_overlap = np.empty(self.num_parameters, dtype=complex)
         d_overlap[: 6 * boundaries] = np.einsum(
-            "nqkab,nqab->nqk", _batched_u3_derivatives(single).conj(), reduced
+            "nqkab,nqab->nqk", _batched_u3_derivatives(single, factors).conj(), reduced
         ).ravel()
 
         if self.num_two_qubit_parameters:

@@ -3,13 +3,13 @@
 Contracts under test (:mod:`repro.core.decomposer`):
 
 * **soundness** -- on 100 Haar targets per catalogue gate type (the 12
-  distinct Table II matrices) and FullXY, every closed form is at least
-  the default optimiser's value minus 1e-9, so a skipped count never
-  under-reports to Eq. 2;
+  distinct Table II matrices), FullXY and FullfSim, every closed form is
+  at least the default optimiser's value minus 1e-9, so a skipped count
+  never under-reports to Eq. 2;
 * **reachability** -- on 10 targets per type a 60-restart optimiser
   reaches every closed form to 1e-8, so it is the optimum, not merely a
-  bound; one ``xy(2pi/3)`` target where the default optimiser sits in a
-  local minimum is pinned;
+  bound; one ``xy(2pi/3)`` target and one FullfSim target where the
+  default optimiser sits in a local minimum are pinned;
 * **skip rules** -- counts whose closed-form infidelity is ~1e-3 (the
   near-miss band) or ~1e-7 (near exact) go through the optimiser;
 * **bit identity** -- every count the profile optimises, directly or
@@ -39,7 +39,7 @@ from repro.core.decomposer import (
 from repro.core.gate_types import all_google_types, google_gate_type, rigetti_gate_type
 from repro.experiments.engine import clear_experiment_caches
 from repro.gates.kak import precise_weyl_coordinates
-from repro.gates.parametric import canonical_gate, cphase, fsim, rzz
+from repro.gates.parametric import canonical_gate, cphase, fsim, rzz, xy
 from repro.gates.unitary import random_su4, random_unitary
 
 CATALOGUE_GATES = [gate_type.gate for gate_type in all_google_types().values()] + [
@@ -47,8 +47,8 @@ CATALOGUE_GATES = [gate_type.gate for gate_type in all_google_types().values()] 
 ]
 """The 12 distinct gate matrices of the Table II catalogue (fSim, CZ, SWAP, XY)."""
 
-TYPES = [(gate, None) for gate in CATALOGUE_GATES] + [(None, "xy")]
-TYPE_IDS = [gate.type_key for gate in CATALOGUE_GATES] + ["FullXY"]
+TYPES = [(gate, None) for gate in CATALOGUE_GATES] + [(None, "xy"), (None, "fsim")]
+TYPE_IDS = [gate.type_key for gate in CATALOGUE_GATES] + ["FullXY", "FullfSim"]
 SUPERCONTROLLED = {"cz", "fsim(1.570796,0.000000)", "xy(3.141593)"}
 
 
@@ -150,10 +150,18 @@ class TestSoundness:
                 worst = min(worst, bound - optimum)
         assert worst >= -1e-9
 
-    def test_fsim_single_layer_has_no_closed_form(self):
+    def test_continuous_families_have_one_layer_closed_forms_only(self):
         point = precise_weyl_coordinates(haar_targets(1, seed=3)[0])
-        assert closed_form_fidelity(point, None, "fsim", 1) is None
+        assert closed_form_fidelity(point, None, "fsim", 1) is not None
+        assert closed_form_fidelity(point, None, "fsim", 2) is None
         assert closed_form_fidelity(point, None, "xy", 2) is None
+
+    def test_one_layer_reaches_every_class_of_its_family(self):
+        for theta, phi in np.random.default_rng(8).uniform(-np.pi, np.pi, (20, 2)):
+            fsim_point = precise_weyl_coordinates(fsim(theta, phi))
+            xy_point = precise_weyl_coordinates(xy(theta))
+            assert closed_form_fidelity(fsim_point, None, "fsim", 1) == pytest.approx(1.0, abs=1e-12)
+            assert closed_form_fidelity(xy_point, None, "xy", 1) == pytest.approx(1.0, abs=1e-12)
 
 
 def many_restart_optimum(template, target, goal, restarts=60, seed=11):
@@ -216,6 +224,38 @@ class TestReachability:
         assert updated[1].fidelity == reference[1].fidelity
         assert updated[1].parameters.tobytes() == reference[1].parameters.tobytes()
 
+    def test_fsim_local_minimum(self):
+        """The default optimiser stops 0.047 short of the one-layer optimum here.
+
+        As for ``xy(2pi/3)`` above: the profile records the closed form,
+        60 restarts reach it, and a query that selects the count gets the
+        reference decomposition.
+        """
+        target = random_su4(np.random.default_rng(28))
+        decomposer = NuOpDecomposer()
+        reference = reference_profile(decomposer, target, None, "fsim", decomposer.max_layers)
+        profile = decomposer.fidelity_profile(target, family="fsim")
+        bound = profile[1].fidelity
+        assert profile[1].parameters is None
+        assert bound == pytest.approx(0.9892274102077399, abs=1e-12)
+        assert bound - reference[1].fidelity > 0.04
+        template = decomposer._make_template(1, None, "fsim")
+        assert many_restart_optimum(template, target, bound - 1e-8) >= bound - 1e-8
+
+        chosen_counts = set()
+        for gate_fidelity in GATE_FIDELITIES:
+            chosen, hardware = reference_approximate(reference, gate_fidelity)
+            chosen_counts.add(chosen.num_layers)
+            result = decomposer.decompose_approximate(
+                target, family="fsim", gate_fidelity=gate_fidelity
+            )
+            want = decomposer._build_decomposition(target, chosen, None, "fsim", hardware, None)
+            assert_same_decomposition(result, want)
+        assert 1 in chosen_counts  # some query selected the closed-form count
+        updated = decomposer.fidelity_profile(target, family="fsim")
+        assert updated[1].fidelity == reference[1].fidelity
+        assert updated[1].parameters.tobytes() == reference[1].parameters.tobytes()
+
 
 class TestSkipRules:
     @pytest.mark.parametrize("infidelity", [1e-3, 1e-7])
@@ -255,11 +295,7 @@ GATE_FIDELITIES = (1.0, 0.999, 0.99, 0.97, 0.9, 0.8, 0.6)
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize(
-        "gate, family",
-        TYPES + [(None, "fsim")],
-        ids=TYPE_IDS + ["FullfSim"],
-    )
+    @pytest.mark.parametrize("gate, family", TYPES, ids=TYPE_IDS)
     def test_profile_and_queries_match_the_reference_loop(self, gate, family):
         decomposer = NuOpDecomposer()
         for name, target in BIT_IDENTITY_TARGETS.items():

@@ -11,6 +11,7 @@ from repro.gates.unitary import (
     allclose_up_to_global_phase,
     average_gate_fidelity,
     embed_unitary,
+    fast_allclose,
     hilbert_schmidt_fidelity,
     is_hermitian,
     is_unitary,
@@ -44,6 +45,49 @@ class TestPredicates:
         assert is_hermitian(standard.X)
         assert is_hermitian(standard.Z)
         assert not is_hermitian(standard.S)
+
+
+class TestFastAllclose:
+    """``fast_allclose`` gives ``np.allclose``'s boolean on every input."""
+
+    @staticmethod
+    def assert_agrees(a, b, **tolerances):
+        assert fast_allclose(a, b, **tolerances) == bool(np.allclose(a, b, **tolerances))
+
+    def test_random_matrices_around_the_tolerance(self, rng):
+        for _ in range(300):
+            a = random_unitary(4, rng)
+            scale = 10.0 ** rng.uniform(-11, -5)
+            b = a + scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            for tolerances in ({}, {"atol": 1e-7}, {"atol": 1e-9, "rtol": 0.0}):
+                self.assert_agrees(a, b, **tolerances)
+                self.assert_agrees(b.real, a.real, **tolerances)
+
+    @pytest.mark.parametrize("rtol", [0.0, 1e-5])
+    def test_atol_boundary(self, rtol):
+        atol = 2.0**-20
+        zeros = np.zeros((2, 2))
+        at_bound = zeros.copy()
+        at_bound[1, 0] = atol
+        beyond = zeros.copy()
+        beyond[1, 0] = np.nextafter(atol, 1.0)
+        assert fast_allclose(at_bound, zeros, rtol=rtol, atol=atol)
+        assert not fast_allclose(beyond, zeros, rtol=rtol, atol=atol)
+        for a in (at_bound, beyond, -beyond, 1j * beyond):
+            self.assert_agrees(a, zeros, rtol=rtol, atol=atol)
+
+    @pytest.mark.parametrize("rtol", [0.0, 1e-5])
+    def test_non_finite_inputs(self, rtol):
+        specials = [np.nan, np.inf, -np.inf, 1.0, complex(np.inf, 0.0), complex(np.nan, 1.0)]
+        for left in specials:
+            for right in specials:
+                a = np.eye(2, dtype=complex)
+                b = np.eye(2, dtype=complex)
+                a[0, 1] = left
+                b[0, 1] = right
+                self.assert_agrees(a, b, rtol=rtol)
+                self.assert_agrees(a, np.eye(2), rtol=rtol)
+                self.assert_agrees(np.eye(2), b, rtol=rtol)
 
 
 class TestRandomSampling:
