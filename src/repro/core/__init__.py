@@ -3,8 +3,9 @@
 * :mod:`repro.core.gate_types` / :mod:`repro.core.instruction_sets` --
   the S1-S7 / R1-R5 / G1-G7 / FullXY / FullfSim catalogue (Table II).
 * :mod:`repro.core.templates` -- template circuits (Figure 4).
-* :mod:`repro.core.decomposer` -- BFGS-based decomposition (Section V.A)
-  with exact and approximate (Eq. 2) modes.
+* :mod:`repro.core.decomposer` -- L-BFGS-B-based decomposition (Section
+  V.A; scipy's routine driven directly) with exact and approximate (Eq. 2)
+  modes.
 * :mod:`repro.core.noise_adaptive` -- gate-type selection across an
   instruction set using per-edge calibrated fidelities (Section V.B).
 * :mod:`repro.core.baseline` -- analytic KAK / gate-identity baseline

@@ -3,7 +3,8 @@
 Given a target two-qubit application unitary and a hardware gate type,
 NuOp builds template circuits with a growing number of entangling layers
 (:mod:`repro.core.templates`), optimises the interleaved single-qubit
-rotations with BFGS to maximise the decomposition fidelity ``F_d``
+rotations with L-BFGS-B (scipy's Fortran-derived routine, driven directly
+by :func:`minimise_lbfgsb`) to maximise the decomposition fidelity ``F_d``
 (Eq. 1), and selects the decomposition that satisfies the requested
 fidelity threshold (exact mode) or maximises ``F_d * F_h`` (approximate /
 noise-aware mode, Eq. 2).
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 
 from repro.caching.lru import MISSING, register_cache
 from repro.circuits.circuit import Operation, QuantumCircuit
@@ -179,6 +180,72 @@ def closed_form_fidelity(
     return None
 
 
+# ---------------------------------------------------------------------------
+# L-BFGS-B, driven directly
+# ---------------------------------------------------------------------------
+#
+# ``minimize(method="L-BFGS-B")`` spends ~45 us of Python per evaluation
+# (a ScalarFunction, a copy of x per call, MemoizeJac) next to ~140 us for
+# the objective itself.  The loop below drives the same reverse-
+# communication routine exactly as scipy's ``_minimize_lbfgsb`` does
+# (scipy >= 1.15, the C port whose ``setulb`` signature this is): same
+# workspace, the first evaluation at x0, a new evaluation only when x
+# moved, and the same iteration stop.  ``tests/test_lbfgsb_loop.py``
+# checks it against ``minimize`` bit for bit.
+
+_LBFGSB_FTOL = 1e-14
+_LBFGSB_GTOL = 1e-10
+_LBFGSB_CORRECTIONS = 10
+_LBFGSB_MAX_LINE_SEARCH = 20
+
+
+def minimise_lbfgsb(
+    objective: Callable[[np.ndarray], Tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    maxiter: int,
+) -> Tuple[np.ndarray, float, int, int]:
+    """Unbounded L-BFGS-B from ``x0`` under NuOp's tolerances.
+
+    ``objective(x)`` returns the value and gradient at ``x``.  Returns
+    ``(x, value, iterations, evaluations)``; ``x`` and ``value`` are the
+    bytes ``minimize(objective, x0, jac=True, method="L-BFGS-B",
+    options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-10})`` gives.
+    """
+    m = _LBFGSB_CORRECTIONS
+    x = np.array(x0, dtype=np.float64)
+    n = x.size
+    no_bounds = np.zeros(n)
+    bound_kinds = np.zeros(n, np.int32)
+    workspace = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    int_workspace = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    line_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29)
+    factr = _LBFGSB_FTOL / np.finfo(float).eps
+    value, gradient = np.float64(0.0), np.zeros(n)
+    evaluated_at = None
+    iterations = evaluations = 0
+    while True:
+        setulb(
+            m, x, no_bounds, no_bounds, bound_kinds, value, gradient, factr,
+            _LBFGSB_GTOL, workspace, int_workspace, task, lsave, isave, dsave,
+            _LBFGSB_MAX_LINE_SEARCH, line_task,
+        )
+        if task[0] == 3:  # FG: wants the value and gradient at x
+            if evaluated_at is None or not np.array_equal(x, evaluated_at):
+                evaluated_at = x.copy()
+                value, gradient = objective(evaluated_at)
+                evaluations += 1
+        elif task[0] == 1:  # NEW_X: an iteration finished
+            iterations += 1
+            if iterations >= maxiter:
+                task[0], task[1] = 5, 504  # STOP: iteration limit
+        else:
+            return x, value, iterations, evaluations
+
+
 @dataclass(frozen=True)
 class LayerSolution:
     """Best decomposition found for one specific layer count.
@@ -304,7 +371,7 @@ class NuOpDecomposer:
         Number of random restarts per layer count, in addition to the
         deterministic all-zeros start.
     maxiter:
-        BFGS iteration cap per restart.
+        L-BFGS-B iteration cap per restart.
     exact_threshold:
         ``F_d`` above which a decomposition is treated as exact; a profile
         examines no count past the first one reaching it.
@@ -355,16 +422,10 @@ class NuOpDecomposer:
 
         def run_start(start: np.ndarray) -> None:
             nonlocal best_value, best_params
-            result = minimize(
-                objective,
-                start,
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": self.maxiter, "ftol": 1e-14, "gtol": 1e-10},
-            )
-            if result.fun < best_value:
-                best_value = float(result.fun)
-                best_params = np.asarray(result.x, dtype=float)
+            params, value, _, _ = minimise_lbfgsb(objective, start, self.maxiter)
+            if value < best_value:
+                best_value = float(value)
+                best_params = params
 
         num_random = self._num_random_starts(template)
         starts = [template.initial_parameters()]
