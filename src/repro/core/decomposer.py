@@ -18,7 +18,8 @@ that are clearly below exact exist only to report their ``F_d`` to Eq. 2;
 where that value has a closed form in the Weyl coordinates of the target
 and the gate (:func:`closed_form_fidelity`), the profile records it
 instead of optimising, and optimises such a count only if a query selects
-it.
+it.  Two and three layers of a CZ- or iSWAP-class gate are built from KAK
+decompositions instead (:func:`synthesise_supercontrolled`).
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ from scipy.optimize._lbfgsb import setulb
 from repro.caching.lru import MISSING, register_cache
 from repro.circuits.circuit import Operation, QuantumCircuit
 from repro.circuits.gate import Gate, fsim_gate, u3_gate, xy_gate
+from repro.gates import standard
 from repro.core.templates import (
     TemplateSpec,
     continuous_family_template,
     fixed_gate_template,
 )
-from repro.gates.kak import precise_weyl_coordinates
+from repro.gates.kak import canonical_unitary, kak_decomposition, precise_weyl_coordinates
 from repro.gates.unitary import hilbert_schmidt_fidelity, nearest_kronecker_product
 
 EXACT_FIDELITY_THRESHOLD = 1.0 - 1e-6
@@ -46,6 +48,14 @@ EXACT_FIDELITY_THRESHOLD = 1.0 - 1e-6
 
 NEAR_MISS_INFIDELITY = 2e-3
 """Infidelity below which an inexact optimum earns confirmation restarts."""
+
+SYNTHESIS_VERSION = 1
+"""Revision of the layer counts NuOp builds without optimising
+(:func:`synthesise_supercontrolled`).
+
+Folded into the compilation-cache key with the objective's revision: a
+change here moves compiled circuits under unchanged inputs, so entries
+written under an older revision must never be served."""
 
 PROFILE_CACHE_SIZE = 4096
 """Entry bound of the process-wide fidelity-profile and Weyl-coordinate LRUs."""
@@ -244,6 +254,143 @@ def minimise_lbfgsb(
                 task[0], task[1] = 5, 504  # STOP: iteration limit
         else:
             return x, value, iterations, evaluations
+
+
+# ---------------------------------------------------------------------------
+# Supercontrolled layers 2-3 from KAK
+# ---------------------------------------------------------------------------
+#
+# For a gate locally equivalent to CZ, A(pi/4, 0, 0), or to iSWAP,
+# A(pi/4, pi/4, 0), the best circuits of two and three layers are known:
+# two layers reach every chamber point (x, y, 0), so the best two-layer
+# F_d keeps the target's t_x, t_y and drops t_z (F_d = |cos t_z|, the
+# closed form above), and three layers are exact (Vatan & Williams,
+# PRA 69, 032315).  With A the gate's canonical part, a product A M A (or
+# A M_2 A M_1 A) of suitable single-qubit middles M reaches the wanted
+# chamber point; the KAK decompositions of that product, of the gate and
+# of the target then give the outer U3 layers.  No optimiser runs and no
+# random number is drawn.
+
+_SUPERCONTROLLED_POINTS = {
+    "cz": np.array([np.pi / 4, 0.0, 0.0]),
+    "iswap": np.array([np.pi / 4, np.pi / 4, 0.0]),
+}
+
+
+def _rotation(pauli: np.ndarray, angle: float) -> np.ndarray:
+    """``exp(i angle P)`` for a Pauli matrix ``P``."""
+    return np.cos(angle) * np.eye(2) + 1j * np.sin(angle) * pauli
+
+
+def supercontrolled_kind(gate_point: Optional[np.ndarray]) -> Optional[str]:
+    """``"cz"`` or ``"iswap"`` when a gate's chamber point is that class's, else ``None``."""
+    if gate_point is not None:
+        for kind, point in _SUPERCONTROLLED_POINTS.items():
+            if np.abs(gate_point - point).max() < 1e-9:
+                return kind
+    return None
+
+
+def _cz_middles(point: np.ndarray, num_layers: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Middles ``M_j`` (first-applied first) putting ``A M_1 A [M_2 A]`` at ``point``.
+
+    ``A = A(pi/4, 0, 0) = exp(i pi/4 XX)``.  Two layers: ``A`` conjugates
+    ``ZI`` to ``YX`` and ``IZ`` to ``XY``, so ``A (e^{ixZ} (x) e^{iyZ})
+    A^dagger = exp(i (x YX + y XY))``, locally ``A(x, y, 0)``, and the
+    second ``A`` differs from ``A^dagger`` by the local ``i XX``.  Three
+    layers: the Vatan-Williams three-CNOT circuit with each CNOT written
+    as ``A`` between single-qubit factors that commute with it.
+    """
+    x, y, z = point
+    X, Y, Z, H = standard.X, standard.Y, standard.Z, standard.H
+    if num_layers == 2:
+        return [(_rotation(Z, x), _rotation(Z, y))]
+    quarter = np.pi / 4
+    return [
+        (H @ _rotation(X, -quarter), _rotation(Y, y - quarter) @ _rotation(Z, -quarter) @ H),
+        (_rotation(Z, z - 2 * quarter) @ H, H @ _rotation(Y, quarter - x) @ _rotation(X, -quarter)),
+    ]
+
+
+def _iswap_middles(point: np.ndarray, num_layers: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """:func:`_cz_middles` for ``A = A(pi/4, pi/4, 0)``.
+
+    ``A(pi/4, pi/4, 0) = e^{i pi/4} SWAP C`` with ``C = exp(-i pi/4 ZZ)``
+    of the CZ class, and ``C = W exp(i pi/4 XX) W^dagger`` with ``W = XH
+    (x) H``.  SWAPs commute past single-qubit layers by exchanging their
+    qubits, so ``L`` iSWAP layers are ``SWAP^L`` times ``L`` layers of
+    ``C`` whose first (third, ...) middle has its qubits exchanged.  ``SWAP`` is
+    ``A(pi/4, pi/4, pi/4)`` up to phase, so three layers must reach
+    ``point - (pi/4, pi/4, pi/4)`` with ``C``.
+    """
+    if num_layers == 3:
+        point = point - np.pi / 4
+    frame = (standard.X @ standard.H, standard.H)
+    middles = []
+    for index, pair in enumerate(_cz_middles(point, num_layers)):
+        a, b = (w @ m @ w.conj().T for w, m in zip(frame, pair))
+        middles.append((b, a) if index % 2 == 0 else (a, b))
+    return middles
+
+
+def _u3_angles(matrix: np.ndarray) -> Tuple[float, float, float]:
+    """``(alpha, beta, lam)`` of a U3 equal to a 2x2 unitary up to phase.
+
+    In the convention of :func:`repro.core.templates._batched_u3`,
+    ``e^{i delta} [[c, -e^{i lam} s], [e^{i beta} s, e^{i (beta + lam)} c]]``.
+    Phases are read off the larger pair of entries (``beta + lam`` from
+    the diagonal when ``c >= s``), so an angle read off a vanishing entry
+    only ever multiplies that entry's vanishing magnitude.
+    """
+    (m00, m01), (m10, m11) = matrix
+    delta = np.angle(m00)
+    lam = np.angle(-m01) - delta
+    if abs(m00) >= abs(m10):
+        beta = np.angle(m11) - delta - lam
+    else:
+        beta = np.angle(m10) - delta
+    return 2.0 * float(np.arctan2(abs(m10), abs(m00))), float(beta), float(lam)
+
+
+def synthesise_supercontrolled(
+    target: np.ndarray, gate_matrix: np.ndarray, kind: str, num_layers: int
+) -> Tuple[float, np.ndarray]:
+    """``F_d`` and flat U3 parameters of the best ``num_layers``-layer (2 or 3) template.
+
+    ``kind`` is :func:`supercontrolled_kind` of the gate.  Two layers
+    reach the target's chamber point with ``t_z`` dropped, three reach it
+    exactly; ``F_d`` is measured on the template's unitary.  With the KAK
+    decompositions ``T = t (a1 (x) b1) A(t) (a2 (x) b2)`` of the target,
+    ``G = g (g1 (x) h1) A (g2 (x) h2)`` of the gate and ``P = p (p1 (x)
+    q1) A(t') (p2 (x) q2)`` of the canonical product, the template's
+    layers are ``g2^dagger p2^dagger a2`` first, ``g2^dagger M_j
+    g1^dagger`` between gates and ``a1 p1^dagger g1^dagger`` last
+    (likewise on the second qubit).
+    """
+    target = np.asarray(target, dtype=complex)
+    goal = kak_decomposition(target)
+    gate = kak_decomposition(gate_matrix)
+    point = goal.point if num_layers == 3 else goal.point * np.array([1.0, 1.0, 0.0])
+    build = _cz_middles if kind == "cz" else _iswap_middles
+    middles = build(point, num_layers)
+    canonical = canonical_unitary(gate.point)
+    product = canonical
+    for a, b in middles:
+        product = canonical @ np.kron(a, b) @ product
+    frame = kak_decomposition(product)
+    (g1, h1), (g2, h2) = gate.left, gate.right
+    (p1, q1), (p2, q2) = frame.left, frame.right
+    (a1, b1), (a2, b2) = goal.left, goal.right
+
+    def dagger(u: np.ndarray) -> np.ndarray:
+        return u.conj().T
+
+    layers = [(dagger(g2) @ dagger(p2) @ a2, dagger(h2) @ dagger(q2) @ b2)]
+    layers += [(dagger(g2) @ a @ dagger(g1), dagger(h2) @ b @ dagger(h1)) for a, b in middles]
+    layers.append((a1 @ dagger(p1) @ dagger(g1), b1 @ dagger(q1) @ dagger(h1)))
+    params = np.array([[_u3_angles(u) for u in pair] for pair in layers]).ravel()
+    unitary = fixed_gate_template(num_layers, gate_matrix).unitary(params)
+    return float(abs(np.vdot(unitary, target))) / 4.0, params
 
 
 @dataclass(frozen=True)
@@ -525,15 +672,17 @@ class NuOpDecomposer:
         """The query's LRU key, its profile so far, and its ``solve`` step.
 
         ``solve(profile, entry)`` examines ``entry``, the frontier or a
-        closed-form count.  A new count whose closed-form infidelity is
-        beyond both the near-miss band and the exact threshold is not
-        optimised: the optimiser could neither reach exact there nor run
-        confirmation restarts, so its draws are exactly its random starts,
-        and the next count's offset skips them.  Any other count is
-        optimised on the restart generator advanced to its offset.  Counts
-        are examined in ascending order, so every optimised count sees the
-        same draws, and returns the same parameters, as when every count
-        is optimised.
+        closed-form count.  Layers 2 and 3 of a CZ- or iSWAP-class gate are
+        synthesised (:func:`synthesise_supercontrolled`) and draw nothing;
+        they are the last counts of their profile (three layers are exact).
+        A new count whose closed-form infidelity is beyond both the
+        near-miss band and the exact threshold is not optimised: the
+        optimiser could neither reach exact there nor run confirmation
+        restarts, so its draws are exactly its random starts, and the next
+        count's offset skips them.  Any other count is optimised on the
+        restart generator advanced to its offset.  Counts are examined in
+        ascending order, so every optimised count sees the same draws, and
+        returns the same parameters, as when every count is optimised.
         """
         if (gate is None) == (family is None):
             raise ValueError("provide exactly one of 'gate' or 'family'")
@@ -547,15 +696,21 @@ class NuOpDecomposer:
         def solve(profile: _Profile, entry: LayerSolution) -> _Profile:
             entries, count = profile.entries, entry.num_layers
             template = self._make_template(count, gate, family)
-            bound = None
+            bound = kind = None
             if count == len(entries):
                 target_point = _weyl_point(target_key, target)
                 gate_point = None
                 if gate is not None:
                     gate_point = _weyl_point(self._target_cache_key(gate.matrix), gate.matrix)
                 if target_point is not None and (gate is None or gate_point is not None):
+                    if count in (2, 3):
+                        kind = supercontrolled_kind(gate_point)
                     bound = closed_form_fidelity(target_point, gate_point, family, count)
-            if bound is not None and 1.0 - bound > skip_above:
+            if kind is not None:
+                fidelity, params = synthesise_supercontrolled(target, gate.matrix, kind, count)
+                solved = replace(entry, fidelity=fidelity, parameters=params)
+                draws = 0
+            elif bound is not None and 1.0 - bound > skip_above:
                 solved = replace(entry, fidelity=bound)
                 draws = self._num_random_starts(template) * template.num_parameters
             else:

@@ -46,6 +46,7 @@ from repro.compiler.manager import (
 )
 from repro.compiler.onequbit import merge_single_qubit_gates
 from repro.compiler.routing import RoutedCircuit
+from repro.core import decomposer as decomposer_module
 from repro.core import templates
 from repro.core.decomposer import NuOpDecomposer
 from repro.core.instruction_sets import InstructionSet
@@ -360,16 +361,19 @@ def compile_circuit_reference(
 
 
 def _decomposer_fingerprint(decomposer: NuOpDecomposer) -> str:
-    """Digest of the decomposer configuration and the NuOp objective revision.
+    """Digest of the decomposer configuration and the NuOp content revisions.
 
     Feeds the compilation cache, tuner verdicts and the serve daemon's
     keys.  ``templates.OBJECTIVE_VERSION`` is folded in because a new
-    objective may move optimiser trajectories in the last ulp, so entries
-    compiled under an older objective are orphaned rather than served.
+    objective may move optimiser trajectories in the last ulp, and
+    ``decomposer.SYNTHESIS_VERSION`` because a new synthesis moves the
+    layers it builds, so entries compiled under older revisions are
+    orphaned rather than served.
     """
     return hash_scalars(
         "decomposer",
         templates.OBJECTIVE_VERSION,
+        decomposer_module.SYNTHESIS_VERSION,
         decomposer.max_layers,
         decomposer.restarts,
         decomposer.confirmation_restarts,

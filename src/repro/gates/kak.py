@@ -11,6 +11,8 @@ machinery it rests on:
 * a local-equivalence test,
 * Weyl-chamber coordinates ``(x, y, z)`` with
   ``pi/4 >= x >= y >= |z|``,
+* a full KAK decomposition (:func:`kak_decomposition`): the chamber point
+  together with the single-qubit factors before and after it,
 * minimal two-qubit gate counts for CZ / iSWAP / sqrt(iSWAP) bases
   (the CZ criterion is the exact Shende-Bullock-Markov result; the iSWAP
   and sqrt(iSWAP) counts are documented polytope heuristics that are
@@ -20,7 +22,7 @@ machinery it rests on:
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +48,8 @@ In this basis every tensor product of single-qubit unitaries becomes a real
 orthogonal matrix, which is what makes the ``gamma`` spectrum a local
 invariant.
 """
+
+_MAGIC_DAGGER = MAGIC_BASIS.conj().T
 
 _ATOL = 1e-7
 
@@ -305,6 +309,153 @@ def precise_weyl_coordinates(matrix: np.ndarray) -> np.ndarray:
     point = np.array([x, y, z]) / 2.0
     point -= np.pi / 2 * np.round(point / (np.pi / 2))
     return np.array(_sort_into_chamber(point))
+
+
+_PAULIS = (standard.X, standard.Y, standard.Z)
+
+# ``v`` with ``(v (x) v) A(c) (v (x) v)^dagger = A(c with two coordinates
+# swapped)``: S maps X -> Y, Y -> -X; Rx(pi/2) maps Y -> Z, Z -> -Y; H swaps
+# X and Z and negates Y.
+_COORDINATE_SWAPS = {
+    (0, 1): standard.S,
+    (1, 2): np.array([[1, -1j], [-1j, 1]], dtype=complex) / np.sqrt(2),
+    (0, 2): standard.H,
+}
+
+# Row k gives the phase of A(x, y, z)'s k-th magic-basis eigenvalue.
+_MAGIC_PHASES = np.array([[1, -1, 1], [1, 1, -1], [-1, -1, -1], [-1, 1, 1]], dtype=float)
+
+# Mixing weights of Im(gamma) into Re(gamma) tried in turn; any weight
+# that separates gamma's distinct eigenvalues works.
+_EIGENBASIS_MIXES = (0.5772156649015329, 1.6180339887498949, -0.4142135623730950)
+
+
+class KakDecomposition(NamedTuple):
+    """``U = phase * (left[0] (x) left[1]) @ A(*point) @ (right[0] (x) right[1])``.
+
+    ``A(x, y, z) = exp(i (x XX + y YY + z ZZ))`` (:func:`canonical_unitary`),
+    ``point`` is the chamber point of :func:`precise_weyl_coordinates`, and
+    the four factors are 2x2 unitaries; ``right`` acts first.
+    """
+
+    phase: complex
+    left: Tuple[np.ndarray, np.ndarray]
+    point: np.ndarray
+    right: Tuple[np.ndarray, np.ndarray]
+
+
+def canonical_unitary(point) -> np.ndarray:
+    """``A(x, y, z) = exp(i (x XX + y YY + z ZZ))`` from its magic-basis eigenvalues.
+
+    Equal to :func:`repro.gates.parametric.canonical_gate` to rounding,
+    without a matrix exponential.
+    """
+    phases = np.exp(1j * (_MAGIC_PHASES @ np.asarray(point, dtype=float)))
+    return (MAGIC_BASIS * phases) @ _MAGIC_DAGGER
+
+
+def _real_eigenbasis(gamma: np.ndarray) -> np.ndarray:
+    """A rotation ``O`` (real, ``det O = 1``) with ``O^T gamma O`` diagonal.
+
+    ``gamma`` is unitary and symmetric, so its real and imaginary parts are
+    commuting real symmetric matrices with a common orthonormal eigenbasis:
+    the eigenbasis of a generic mix of the two.  A mix that happens to
+    merge two distinct eigenvalues leaves off-diagonal residue, so mixes
+    are tried until one diagonalises ``gamma`` to rounding.
+    """
+    best, best_residue = None, np.inf
+    for mix in _EIGENBASIS_MIXES:
+        vectors = np.linalg.eigh(gamma.real + mix * gamma.imag)[1]
+        rotated = vectors.T @ gamma @ vectors
+        residue = np.abs(rotated - np.diag(np.diag(rotated))).max()
+        if residue < best_residue:
+            best, best_residue = vectors, residue
+        if residue < 1e-13:
+            break
+    if np.linalg.det(best) < 0:
+        best[:, 0] = -best[:, 0]
+    return best
+
+
+def _tensor_factors(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(a, b)`` with ``a (x) b = matrix``, for an exact tensor product of unitaries."""
+    blocks = matrix.reshape(2, 2, 2, 2)  # [i, k, j, l] = a[i, j] * b[k, l]
+    weights = (np.abs(blocks) ** 2).sum(axis=(0, 2))
+    k, l = np.unravel_index(int(np.argmax(weights)), (2, 2))
+    first = blocks[:, k, :, l]
+    first = first / np.sqrt(np.linalg.det(first))
+    second = np.einsum("ij,ikjl->kl", first.conj(), blocks) / 2.0
+    return first, second
+
+
+def kak_decomposition(matrix: np.ndarray) -> KakDecomposition:
+    """KAK decomposition of a two-qubit unitary into the Weyl chamber.
+
+    In the magic basis the SU(4) form ``m`` of ``U`` factors as
+    ``O_1 D O_2`` with ``O_1``, ``O_2`` rotations (tensor products of
+    single-qubit unitaries in the computational basis) and ``D`` diagonal
+    (a canonical gate times a phase).  ``O_1`` diagonalises ``gamma = m m^T
+    = O_1 D^2 O_1^T`` (:func:`_real_eigenbasis`), ``D`` is a square root of
+    that diagonal with its signs fixed so ``det O_2 = 1``, and ``O_2 =
+    D^-1 O_1^T m``.  The coordinates read off ``D`` are then moved into
+    the chamber by local equivalences (``pi/2`` shifts, pairwise sign
+    flips, coordinate swaps), each folded into the phase and the factors,
+    so ``U`` is rebuilt exactly; see :class:`KakDecomposition`.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    if not is_unitary(matrix, atol=1e-6):
+        raise ValueError("kak_decomposition requires a unitary matrix")
+    root = np.linalg.det(matrix) ** 0.25
+    magic = _MAGIC_DAGGER @ (matrix / root) @ MAGIC_BASIS
+    left = _real_eigenbasis(magic @ magic.T)
+    turned = left.T @ magic
+    diagonal = np.sqrt(np.einsum("ij,ij->i", turned, turned))
+    if np.prod(diagonal).real < 0:
+        diagonal[0] = -diagonal[0]
+    right = (turned / diagonal[:, None]).real
+    # D = exp(i phi) A(x, y, z) in the magic basis: the columns of
+    # [1, _MAGIC_PHASES] are orthogonal, each of squared norm 4.
+    angles = np.angle(diagonal)
+    phase = complex(root * np.exp(1j * angles.sum() / 4.0))
+    point = _MAGIC_PHASES.T @ angles / 4.0
+    a1, b1 = _tensor_factors(MAGIC_BASIS @ left @ _MAGIC_DAGGER)
+    a2, b2 = _tensor_factors(MAGIC_BASIS @ right @ _MAGIC_DAGGER)
+
+    # A(c) = A(c - n pi/2 e_k) (i P_k (x) P_k)^n: bring each coordinate
+    # into [-pi/4, pi/4] as precise_weyl_coordinates does.
+    for k, pauli in enumerate(_PAULIS):
+        shift = int(np.round(point[k] / (np.pi / 2)))
+        point[k] -= shift * np.pi / 2
+        phase *= 1j**shift
+        if shift % 2:
+            a2, b2 = pauli @ a2, pauli @ b2
+    # A(c) = (v (x) v)^dagger A(c swapped) (v (x) v): sort by magnitude.
+    for i, j in ((0, 1), (1, 2), (0, 1)):
+        if abs(point[j]) > abs(point[i]):
+            v = _COORDINATE_SWAPS[(i, j)]
+            point[[i, j]] = point[[j, i]]
+            a1, b1 = a1 @ v.conj().T, b1 @ v.conj().T
+            a2, b2 = v @ a2, v @ b2
+
+    def negate_all_but(k: int) -> None:
+        # A(c) = (P_k (x) I) A(c with the other two negated) (P_k (x) I).
+        nonlocal a1, a2
+        point[[j for j in range(3) if j != k]] *= -1
+        a1, a2 = a1 @ _PAULIS[k], _PAULIS[k] @ a2
+
+    if point[0] < 0 and point[1] < 0:
+        negate_all_but(2)
+    elif point[0] < 0:
+        negate_all_but(1)
+    elif point[1] < 0:
+        negate_all_but(0)
+    if abs(point[0] - np.pi / 4) < 1e-9 and point[2] < 0:
+        # (pi/4, y, -z) -> (-pi/4, y, z) -> (pi/4, y, z).
+        negate_all_but(1)
+        point[0] += np.pi / 2
+        phase *= -1j
+        a2, b2 = _PAULIS[0] @ a2, _PAULIS[0] @ b2
+    return KakDecomposition(phase, (a1, b1), point, (a2, b2))
 
 
 def min_cz_count(matrix: np.ndarray, atol: float = 1e-6) -> int:

@@ -160,3 +160,13 @@ class TestObjectiveVersion:
         fingerprint = _decomposer_fingerprint(decomposer)
         monkeypatch.setattr(templates, "OBJECTIVE_VERSION", templates.OBJECTIVE_VERSION + 1)
         assert _decomposer_fingerprint(decomposer) != fingerprint
+
+    def test_synthesis_version_orphans_compile_keys(self, monkeypatch):
+        from repro.core import decomposer as decomposer_module
+
+        decomposer = NuOpDecomposer()
+        fingerprint = _decomposer_fingerprint(decomposer)
+        monkeypatch.setattr(
+            decomposer_module, "SYNTHESIS_VERSION", decomposer_module.SYNTHESIS_VERSION + 1
+        )
+        assert _decomposer_fingerprint(decomposer) != fingerprint

@@ -5,7 +5,11 @@ Contracts under test (:mod:`repro.core.decomposer`):
 * **soundness** -- on 100 Haar targets per catalogue gate type (the 12
   distinct Table II matrices), FullXY and FullfSim, every closed form is
   at least the default optimiser's value minus 1e-9, so a skipped count
-  never under-reports to Eq. 2;
+  never under-reports to Eq. 2, and every synthesised supercontrolled
+  count (layers 2-3 of CZ- and iSWAP-class gates) is too;
+* **synthesis** -- two synthesised layers give ``F_d = |cos t_z|`` to
+  1e-12 and three rebuild the target to 1e-10, near-exact targets
+  included;
 * **reachability** -- on 10 targets per type a 60-restart optimiser
   reaches every closed form to 1e-8, so it is the optimum, not merely a
   bound; one ``xy(2pi/3)`` target and one FullfSim target where the
@@ -14,7 +18,8 @@ Contracts under test (:mod:`repro.core.decomposer`):
   near-miss band) or ~1e-7 (near exact) go through the optimiser;
 * **bit identity** -- every count the profile optimises, directly or
   after a query selects it, carries the parameters and ``F_d`` of the
-  reference loop below (every count optimised on one shared generator),
+  reference loop below (every count optimised on one shared generator,
+  supercontrolled layers 2-3 synthesised),
   and ``decompose_approximate`` / ``decompose_exact`` return the
   reference decompositions byte for byte;
 * **cache bookkeeping** -- optimising a selected count writes the LRU
@@ -35,6 +40,8 @@ from repro.core.decomposer import (
     clear_profile_cache,
     closed_form_fidelity,
     profile_cache_stats,
+    supercontrolled_kind,
+    synthesise_supercontrolled,
 )
 from repro.core.gate_types import all_google_types, google_gate_type, rigetti_gate_type
 from repro.experiments.engine import clear_experiment_caches
@@ -52,13 +59,22 @@ TYPE_IDS = [gate.type_key for gate in CATALOGUE_GATES] + ["FullXY", "FullfSim"]
 SUPERCONTROLLED = {"cz", "fsim(1.570796,0.000000)", "xy(3.141593)"}
 
 
+def synthesis_kind(gate):
+    return None if gate is None else supercontrolled_kind(precise_weyl_coordinates(gate.matrix))
+
+
 def reference_profile(decomposer, target, gate, family, limit):
-    """The profile loop without closed forms: every count optimised in turn."""
+    """The profile loop without closed forms: every count optimised in turn,
+    except supercontrolled layers 2-3, which are synthesised."""
     rng = np.random.default_rng(decomposer.seed)
+    kind = synthesis_kind(gate)
     profile = []
     for num_layers in range(limit + 1):
-        template = decomposer._make_template(num_layers, gate, family)
-        fidelity, params, _ = decomposer._optimise_template(target, template, rng)
+        if kind is not None and num_layers in (2, 3):
+            fidelity, params = synthesise_supercontrolled(target, gate.matrix, kind, num_layers)
+        else:
+            template = decomposer._make_template(num_layers, gate, family)
+            fidelity, params, _ = decomposer._optimise_template(target, template, rng)
         profile.append(LayerSolution(num_layers, fidelity, params))
         if fidelity >= decomposer.exact_threshold:
             break
@@ -148,6 +164,19 @@ class TestSoundness:
                 bound = closed_form_fidelity(target_point, point, family, num_layers)
                 optimum = default_optimum(decomposer, target, gate, family, num_layers)
                 worst = min(worst, bound - optimum)
+        assert worst >= -1e-9
+
+    @pytest.mark.parametrize("label", ["S3", "S4"])
+    def test_synthesis_is_at_least_the_optimiser(self, label):
+        gate = google_gate_type(label).gate
+        kind = synthesis_kind(gate)
+        decomposer = NuOpDecomposer()
+        worst = np.inf
+        for target in haar_targets(40, seed=104):
+            for num_layers in (2, 3):
+                synthesised, _ = synthesise_supercontrolled(target, gate.matrix, kind, num_layers)
+                optimum = default_optimum(decomposer, target, gate, None, num_layers)
+                worst = min(worst, synthesised - optimum)
         assert worst >= -1e-9
 
     def test_continuous_families_have_one_layer_closed_forms_only(self):
@@ -259,13 +288,12 @@ class TestReachability:
 
 class TestSkipRules:
     @pytest.mark.parametrize("infidelity", [1e-3, 1e-7])
-    @pytest.mark.parametrize("label, num_layers", [("S3", 1), ("S3", 2), ("S4", 2)])
+    @pytest.mark.parametrize("label, num_layers", [("S3", 1)])
     def test_near_exact_counts_are_optimised(self, label, num_layers, infidelity):
         gate = google_gate_type(label).gate
         angle = float(np.arccos(1.0 - infidelity))
-        # One CZ layer reaches (pi/4, angle, 0) to cos(angle); two layers of
-        # a supercontrolled gate reach (x, y, angle) to cos(angle).
-        point = (np.pi / 4, angle, 0.0) if num_layers == 1 else (0.6, 0.4, angle)
+        # One CZ layer reaches (pi/4, angle, 0) to cos(angle).
+        point = (np.pi / 4, angle, 0.0)
         target = dressed(point, seed=5)
         bound = closed_form_fidelity(
             precise_weyl_coordinates(target), gate_point(gate), None, num_layers
@@ -281,6 +309,89 @@ class TestSkipRules:
             if mine.parameters is not None:
                 assert mine.fidelity == theirs.fidelity
                 assert mine.parameters.tobytes() == theirs.parameters.tobytes()
+
+
+def rebuild_error(unitary, target):
+    """Largest entry of ``unitary - target`` after removing the global phase."""
+    overlap = np.vdot(unitary, target)
+    return float(np.abs(unitary * (overlap / abs(overlap)) - target).max())
+
+
+class TestSynthesis:
+    """Layers 2-3 of CZ- and iSWAP-class gates, built from KAK decompositions."""
+
+    GATES = {
+        "S3": google_gate_type("S3").gate,
+        "S4": google_gate_type("S4").gate,
+        "rigetti-S4": rigetti_gate_type("S4").gate,
+    }
+
+    @pytest.mark.parametrize("name", list(GATES))
+    def test_two_layers_drop_tz_and_three_are_exact(self, name):
+        gate = self.GATES[name]
+        kind = synthesis_kind(gate)
+        assert kind in ("cz", "iswap")
+        decomposer = NuOpDecomposer()
+        targets = haar_targets(100, seed=105) + list(STRUCTURED_TARGETS.values())
+        targets += [dressed(point, seed=6) for point in FACE_POINTS]
+        for target in targets:
+            t_z = precise_weyl_coordinates(target)[2]
+            fidelity, params = synthesise_supercontrolled(target, gate.matrix, kind, 2)
+            assert abs(fidelity - abs(np.cos(t_z))) < 1e-12
+            template = decomposer._make_template(2, gate, None)
+            assert abs(abs(np.vdot(template.unitary(params), target)) / 4 - fidelity) < 1e-15
+            fidelity, params = synthesise_supercontrolled(target, gate.matrix, kind, 3)
+            unitary = decomposer._make_template(3, gate, None).unitary(params)
+            assert rebuild_error(unitary, target) < 1e-10
+            assert fidelity >= decomposer.exact_threshold
+
+    @pytest.mark.parametrize("infidelity", [1e-3, 1e-7])
+    @pytest.mark.parametrize("label", ["S3", "S4"])
+    def test_near_exact_layer_two_is_synthesised(self, label, infidelity):
+        # Two layers of a supercontrolled gate reach (x, y, angle) to cos(angle).
+        gate = google_gate_type(label).gate
+        angle = float(np.arccos(1.0 - infidelity))
+        target = dressed((0.6, 0.4, angle), seed=5)
+        decomposer = NuOpDecomposer()
+        profile = decomposer.fidelity_profile(target, gate=gate)
+        assert profile[0].parameters is None  # far from exact: closed form
+        assert 1.0 - profile[2].fidelity == pytest.approx(infidelity, rel=1e-6)
+        # 1e-7 is within the exact threshold, so the profile stops at two layers.
+        exact_at = 2 if infidelity < 1.0 - decomposer.exact_threshold else 3
+        assert len(profile) == exact_at + 1
+        assert profile[-1].fidelity >= decomposer.exact_threshold
+
+    def test_synthesised_counts_draw_and_evaluate_nothing(self, monkeypatch):
+        from repro.core.templates import TemplateSpec
+
+        layers_evaluated = []
+        objective = TemplateSpec.objective_with_gradient
+
+        def counted(self, flat_params, target):
+            layers_evaluated.append(self.num_layers)
+            return objective(self, flat_params, target)
+
+        monkeypatch.setattr(TemplateSpec, "objective_with_gradient", counted)
+        gate = google_gate_type("S3").gate
+        target = haar_targets(1, seed=106)[0]
+        profile = NuOpDecomposer().fidelity_profile(target, gate=gate)
+        assert [entry.num_layers for entry in profile] == [0, 1, 2, 3]
+        assert max(layers_evaluated, default=0) <= 1
+        assert profile[3].rng_offset == profile[2].rng_offset
+
+
+FACE_POINTS = [
+    (0.0, 0.0, 0.0),
+    (np.pi / 4, 0.0, 0.0),
+    (np.pi / 4, np.pi / 4, 0.0),
+    (np.pi / 4, np.pi / 4, np.pi / 4),
+    (np.pi / 8, np.pi / 8, 0.0),
+    (np.pi / 4, np.pi / 4, np.pi / 24),
+    (0.4, 0.0, 0.0),
+    (0.5, 0.3, -0.3),
+    (np.pi / 4, 0.3, 0.1),
+]
+"""Chamber faces and edges: identity, CZ, iSWAP, SWAP, sqrt(iSWAP), SYC and others."""
 
 
 STRUCTURED_TARGETS = {
@@ -368,5 +479,7 @@ class TestCacheBookkeeping:
             decomposer._make_template(layers, gate, None).num_parameters
             for layers in range(len(profile))
         ]
-        # One random start per count (no confirmation restarts here).
-        assert offsets == list(np.cumsum([0] + sizes[:-1]))
+        # One random start per count (no confirmation restarts here), except
+        # CZ layers 2-3, which are synthesised and draw nothing.
+        draws = [size if layers < 2 else 0 for layers, size in enumerate(sizes)]
+        assert offsets == list(np.cumsum([0] + draws[:-1]))

@@ -6,8 +6,9 @@ Contracts under test (:mod:`repro.core.decomposer`,
 * **lazy == eager** -- a profile examines layer counts only as far as a
   query needs them, yet every ``decompose_approximate`` and
   ``decompose_exact`` result is byte-identical to the test-local loop
-  that optimises every count on one shared restart generator, followed
-  by Eq. 2 or the exact rule.  Queries run in shuffled orders on a cold
+  that optimises every count on one shared restart generator (and
+  synthesises layers 2-3 of CZ- and iSWAP-class gates, drawing nothing),
+  followed by Eq. 2 or the exact rule.  Queries run in shuffled orders on a cold
   cache, so profiles are extended by several queries; after a partial
   set of queries ``fidelity_profile()`` completes each profile to the
   loop's counts, generator offsets and (for optimised counts) values;
@@ -23,11 +24,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.decomposer import LayerSolution, NuOpDecomposer, clear_profile_cache
+from repro.core.decomposer import (
+    LayerSolution,
+    NuOpDecomposer,
+    clear_profile_cache,
+    supercontrolled_kind,
+    synthesise_supercontrolled,
+)
 from repro.core.gate_types import all_google_types, rigetti_gate_type
 from repro.core.instruction_sets import google_instruction_set, rigetti_instruction_set
 from repro.core.noise_adaptive import decompose_with_instruction_set
 from repro.core.templates import TemplateSpec
+from repro.gates.kak import precise_weyl_coordinates
 from repro.gates.parametric import cphase
 from repro.gates.standard import CZ
 from repro.gates.unitary import random_su4
@@ -42,12 +50,18 @@ THRESHOLDS = (1.0 - 1e-6, 0.99)
 
 
 def all_counts_profile(decomposer, target, gate, family):
-    """Every count optimised in turn on one shared generator, with offsets."""
+    """Every count optimised in turn on one shared generator, with offsets;
+    supercontrolled layers 2-3 are synthesised and draw nothing."""
     rng = np.random.default_rng(decomposer.seed)
+    kind = None if gate is None else supercontrolled_kind(precise_weyl_coordinates(gate.matrix))
     profile, offset = [], 0
     for num_layers in range(decomposer.max_layers + 1):
-        template = decomposer._make_template(num_layers, gate, family)
-        fidelity, params, draws = decomposer._optimise_template(target, template, rng)
+        if kind is not None and num_layers in (2, 3):
+            fidelity, params = synthesise_supercontrolled(target, gate.matrix, kind, num_layers)
+            draws = 0
+        else:
+            template = decomposer._make_template(num_layers, gate, family)
+            fidelity, params, draws = decomposer._optimise_template(target, template, rng)
         profile.append(LayerSolution(num_layers, fidelity, params, offset))
         offset += draws
         if fidelity >= decomposer.exact_threshold:

@@ -12,9 +12,11 @@ from repro.gates import standard
 from repro.gates.kak import (
     MAGIC_BASIS,
     canonical_invariants,
+    canonical_unitary,
     gamma_matrix,
     invariant_distance,
     is_locally_equivalent,
+    kak_decomposition,
     local_invariants,
     min_cz_count,
     min_gate_count,
@@ -144,6 +146,57 @@ class TestPinnedCoordinates:
         assert set(inputs) == set(golden)
         for name, matrix in inputs.items():
             assert [float(v).hex() for v in weyl_coordinates(matrix)] == golden[name], name
+
+
+def rebuild(kak) -> np.ndarray:
+    return kak.phase * np.kron(*kak.left) @ canonical_unitary(kak.point) @ np.kron(*kak.right)
+
+
+class TestKakDecomposition:
+    """``U = phase (a1 (x) b1) A(x, y, z) (a2 (x) b2)`` with the chamber point
+    of :func:`precise_weyl_coordinates`."""
+
+    FACES = {
+        "identity": np.eye(4, dtype=complex),
+        "CZ": standard.CZ,
+        "iSWAP": standard.ISWAP,
+        "SWAP": standard.SWAP,
+        "sqrt_iSWAP": standard.SQRT_ISWAP,
+        "SYC": fsim(np.pi / 2, np.pi / 6),
+    }
+
+    def test_canonical_unitary_matches_canonical_gate(self):
+        for point in np.random.default_rng(40).uniform(-np.pi, np.pi, (20, 3)):
+            assert np.abs(canonical_unitary(point) - canonical_gate(*point)).max() < 1e-14
+
+    def test_haar_targets_rebuild(self):
+        rng = np.random.default_rng(41)
+        for _ in range(250):
+            target = random_unitary(4, rng)
+            kak = kak_decomposition(target)
+            assert np.abs(rebuild(kak) - target).max() < 1e-12
+            for factor in kak.left + kak.right:
+                assert is_unitary(factor, atol=1e-12)
+            assert np.abs(kak.point - precise_weyl_coordinates(target)).max() < 1e-9
+
+    def test_pinned_inputs_share_the_precise_chamber_point(self):
+        for name, matrix in _pinned_inputs().items():
+            kak = kak_decomposition(matrix)
+            assert np.abs(kak.point - precise_weyl_coordinates(matrix)).max() < 1e-9, name
+            assert np.abs(rebuild(kak) - matrix).max() < 1e-12, name
+
+    @pytest.mark.parametrize("name", list(FACES))
+    def test_chamber_faces(self, name):
+        rng = np.random.default_rng(42)
+        gate = self.FACES[name]
+        for matrix in [gate] + [random_local(rng) @ gate @ random_local(rng) for _ in range(10)]:
+            kak = kak_decomposition(matrix)
+            assert np.abs(kak.point - precise_weyl_coordinates(matrix)).max() < 1e-9
+            assert np.abs(rebuild(kak) - matrix).max() < 1e-12
+
+    def test_rejects_non_unitary(self):
+        with pytest.raises(ValueError):
+            kak_decomposition(np.ones((4, 4)))
 
 
 class TestPreciseWeylCoordinates:

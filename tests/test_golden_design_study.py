@@ -1,7 +1,10 @@
 """Golden data for the cold instruction-set design study.
 
 ``tests/golden/design_study_compiled.json`` was captured before NuOp
-answered clearly sub-exact layer counts in closed form.  It pins, for the
+answered clearly sub-exact layer counts in closed form, and recaptured
+when it began synthesising layers 2-3 of CZ- and iSWAP-class gates from
+KAK decompositions (which moved only the S3, G3 and R2 compiles' keys,
+fingerprints, ``F_d`` and ``mean_metric``).  It pins, for the
 eight specs of the benchmark's design study (seed 7): the compile-cache
 key digest, compiled-circuit fingerprint, 2q count and per-operation
 ``F_d`` of every (instruction set, circuit) compile, and the study rows.
@@ -186,7 +189,8 @@ def main(argv=None) -> int:
     data = {
         "_about": (
             "Cold design study (benchmark specs, seed 7) and quick report text, "
-            "captured before closed-form sub-exact NuOp layer counts. "
+            "captured before closed-form sub-exact NuOp layer counts and recaptured "
+            "with KAK-synthesised CZ/iSWAP layers 2-3. "
             "See tests/test_golden_design_study.py."
         ),
         **data,
