@@ -56,7 +56,7 @@ from repro.core.instruction_sets import google_catalogue, rigetti_catalogue
 from repro.core.pipeline import compile_circuit
 from repro.core.templates import TemplateSpec
 from repro.devices.synthetic import synthetic_device
-from repro.gates.kak import precise_weyl_coordinates
+from repro.gates.kak import weyl_coordinates
 
 GOLDEN = (
     Path(__file__).resolve().parents[1] / "tests" / "golden" / "design_study_compiled.json"
@@ -64,7 +64,7 @@ GOLDEN = (
 
 
 def synthesis_kind(gate):
-    return None if gate is None else supercontrolled_kind(precise_weyl_coordinates(gate.matrix))
+    return None if gate is None else supercontrolled_kind(weyl_coordinates(gate.matrix))
 
 
 def synthesised(solution_layers, gate):
@@ -76,7 +76,7 @@ def reference_profile(decomposer, target, gate, family, limit):
     """The profile loop without closed forms: every count optimised in turn,
     except supercontrolled layers 2-3, recorded at their known optimum."""
     rng = np.random.default_rng(decomposer.seed)
-    t_z = precise_weyl_coordinates(target)[2]
+    t_z = weyl_coordinates(target)[2]
     profile = []
     for num_layers in range(limit + 1):
         if synthesised(num_layers, gate):

@@ -265,12 +265,11 @@ def _in_process_cache_report() -> str:
     import repro.experiments.engine  # noqa: F401  (registers every LRU tier)
     from repro.caching.lru import registered_cache_stats
     from repro.resilience import fault_stats, retry_stats
-    from repro.simulators.array_ops import array_backend_stats
+    from repro.simulators.superop import batched_replay_stats
 
     faults = fault_stats()
     sections = registered_cache_stats()
-    for name, stats in sorted(array_backend_stats().items()):
-        sections[f"batched replay ({name})"] = stats
+    sections["batched replay"] = batched_replay_stats()
     # Resilience counters (repro.resilience): retry/recovery totals for
     # this process, plus what the active fault plan injected (all zeros
     # and plan "-" in a normal, fault-free process).
@@ -372,7 +371,6 @@ def _cmd_submit(args: argparse.Namespace) -> str:
 
 
 def _cmd_simulators(args: argparse.Namespace) -> str:
-    from repro.simulators.array_ops import active_array_backend, available_array_backends
     from repro.simulators.backend import active_simulation_kernel, available_backends
     from repro.simulators.superop import sim_batch_max_bytes
 
@@ -384,16 +382,12 @@ def _cmd_simulators(args: argparse.Namespace) -> str:
         }
         for name, backend in sorted(available_backends().items())
     ]
-    array_names = ", ".join(sorted(available_array_backends()))
     return (
         "Registered simulator backends\n"
         + render_table(rows)
         + f"\n\nactive kernel: {active_simulation_kernel()} "
         "(REPRO_SIM_KERNEL=fused|reference; fused = one contraction per\n"
         "fused channel group, reference = the pinned bit-identical replay)\n"
-        f"active array backend: {active_array_backend().name} "
-        f"(REPRO_ARRAY_BACKEND={array_names}; unavailable\n"
-        "backends degrade to numpy with a warning)\n"
         f"batch working-set cap: {sim_batch_max_bytes()} bytes "
         "(REPRO_SIM_BATCH_MAX_BYTES; bounds the\n"
         "(B, 2^n, 2^n) rho stack of one batched-replay pass)\n"

@@ -2,9 +2,8 @@
 
 Figure 1 of the paper describes the toolflow as a staged compiler --
 layout, routing, scheduling, NuOp gate decomposition, peephole cleanup --
-but the seed implementation hard-coded that sequence across two layers
-(:func:`repro.compiler.passes.map_and_route` plus a monolithic
-``compile_circuit``).  This module restructures it the way Cirq's
+but the seed implementation hard-coded that sequence in a monolithic
+``compile_circuit``.  This module restructures it the way Cirq's
 transformer framework does: every stage is a :class:`CompilerPass` with a
 uniform ``run(context)`` interface over a shared :class:`PassContext`, a
 :class:`PassManager` executes an ordered list of passes (timing each one),

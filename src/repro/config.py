@@ -79,12 +79,12 @@ def str_env(name: str, default: str = "", *, lower: bool = False) -> str:
 
     Returns ``default`` (verbatim, never lower-cased) when the variable is
     unset or blank.  ``lower=True`` lower-cases a set value -- the policy
-    of every name-valued knob (``REPRO_SIM_KERNEL``,
-    ``REPRO_ARRAY_BACKEND``), whose registries key on lower-case names.
+    of a name-valued knob such as ``REPRO_SIM_KERNEL``, whose registry
+    keys on lower-case names.
 
     There is no "invalid" shape for a free-form string, so unlike
     :func:`positive_int_env` this helper never warns; *semantic*
-    validation (unknown kernel/backend names, and any warn-once
+    validation (unknown kernel names, and any warn-once
     bookkeeping a long-lived daemon needs) stays at the call site, which
     knows the registry and the failure policy.  The env-policy lint
     (:mod:`repro.analysis.source_lints`) requires every ``os.environ``

@@ -40,7 +40,7 @@ from repro.core.templates import (
     continuous_family_template,
     fixed_gate_template,
 )
-from repro.gates.kak import canonical_unitary, kak_decomposition, precise_weyl_coordinates
+from repro.gates.kak import canonical_unitary, kak_decomposition, weyl_coordinates
 from repro.gates.unitary import hilbert_schmidt_fidelity, nearest_kronecker_product
 
 EXACT_FIDELITY_THRESHOLD = 1.0 - 1e-6
@@ -109,7 +109,7 @@ def _weyl_point(key: bytes, matrix: np.ndarray) -> Optional[np.ndarray]:
     point = _COORDINATE_CACHE.get(key, MISSING)
     if point is MISSING:
         try:
-            point = precise_weyl_coordinates(matrix)
+            point = weyl_coordinates(matrix)
         except ValueError:
             point = None
         _COORDINATE_CACHE.put(key, point)

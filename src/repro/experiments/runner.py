@@ -23,7 +23,6 @@ from repro.core.instruction_sets import InstructionSet
 from repro.core.pipeline import CompiledCircuit, compile_circuit
 from repro.devices.device import Device
 from repro.metrics.distributions import permute_distribution
-from repro.simulators.array_ops import validate_array_backend_env
 from repro.simulators.backend import SimulatorBackend, resolve_backend
 from repro.simulators.density_matrix import (
     MAX_DENSITY_MATRIX_QUBITS,
@@ -87,9 +86,6 @@ class SimulationOptions:
                 "SimulationOptions.batch must be >= 0 (0 = memory-cap bound, "
                 f"1 = disabled, N = group-size cap), got {self.batch}"
             )
-        # Fail a typo'd REPRO_ARRAY_BACKEND here, at option construction,
-        # instead of warning mid-study from a worker thread.
-        validate_array_backend_env()
 
     def fingerprint(self) -> str:
         """Content digest of every field that shapes a measured distribution.

@@ -13,21 +13,20 @@ machinery it rests on:
   ``pi/4 >= x >= y >= |z|``,
 * a full KAK decomposition (:func:`kak_decomposition`): the chamber point
   together with the single-qubit factors before and after it,
-* minimal two-qubit gate counts for CZ / iSWAP / sqrt(iSWAP) bases
-  (the CZ criterion is the exact Shende-Bullock-Markov result; the iSWAP
-  and sqrt(iSWAP) counts are documented polytope heuristics that are
-  cross-validated against NuOp in the test suite).
+* minimal two-qubit gate counts for CZ / iSWAP / sqrt(iSWAP) bases: the
+  CZ criterion is the Shende-Bullock-Markov result, two iSWAPs reach the
+  ``z = 0`` plane, and two sqrt(iSWAP) gates reach the region
+  ``x >= y + |z|`` (Huang et al., arXiv:2105.06074).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from repro.gates import standard
-from repro.gates.parametric import canonical_gate
 from repro.gates.unitary import is_unitary
 
 MAGIC_BASIS = (
@@ -100,35 +99,6 @@ def local_invariants(matrix: np.ndarray) -> Tuple[complex, complex, complex]:
     return e1, e2, e3
 
 
-def canonical_invariants(
-    x: np.ndarray, y: np.ndarray, z: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form local invariants of ``canonical_gate(x, y, z)``.
-
-    In the magic basis the canonical gate ``exp(i (x XX + y YY + z ZZ))``
-    is diagonal with eigenphases ``(x - y + z, -x + y + z, x + y - z,
-    -x - y - z)``, so ``gamma`` has eigenvalues ``exp(2i t_k)`` and the
-    characteristic-polynomial coefficients follow from Newton's
-    identities without building a single matrix.  Accepts scalars or
-    broadcastable arrays (the coarse chamber grid of
-    :func:`weyl_coordinates` evaluates thousands of points in one call);
-    agrees with :func:`local_invariants` applied to the assembled gate to
-    ~1e-15.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    phases = np.stack(
-        [x - y + z, -x + y + z, x + y - z, -x - y - z], axis=-1
-    )
-    lam = np.exp(2j * phases)
-    e1 = lam.sum(axis=-1)
-    e2 = (e1**2 - (lam**2).sum(axis=-1)) / 2.0
-    # The eigenvalues multiply to one, so e3 = sum of reciprocals = conj(e1).
-    e3 = np.conj(e1)
-    return e1, e2, e3
-
-
 def invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Distance between the local-invariant vectors of two unitaries.
 
@@ -146,115 +116,6 @@ def invariant_distance(a: np.ndarray, b: np.ndarray) -> float:
 def is_locally_equivalent(a: np.ndarray, b: np.ndarray, atol: float = 1e-6) -> bool:
     """Return True if ``a`` and ``b`` differ only by single-qubit rotations."""
     return invariant_distance(a, b) < atol
-
-
-_COARSE_GRID: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
-
-
-def _coarse_chamber_grid() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Chamber grid points and their closed-form invariants, built once.
-
-    Returns ``(x, y, z, invariants)`` flat arrays; ``invariants`` has shape
-    ``(points, 3)``.  The grid is immutable and deterministic, so the
-    benign build race between threads is harmless.
-    """
-    global _COARSE_GRID
-    if _COARSE_GRID is None:
-        # 33 points per axis, z over the symmetric 65-point axis.  Only the
-        # chamber points are generated (x index i >= y index j, z index
-        # within j of the centre), in the row-major order a full
-        # meshgrid filtered to the chamber would give.
-        axis = np.linspace(0.0, np.pi / 4, 33)
-        z_axis = np.concatenate([-axis[:0:-1], axis])
-        x_index, y_index = np.tril_indices(axis.size)
-        widths = 2 * y_index + 1
-        first = np.cumsum(widths) - widths
-        z_index = (
-            np.arange(widths.sum())
-            - np.repeat(first, widths)
-            + np.repeat(axis.size - 1 - y_index, widths)
-        )
-        grid_x = axis[np.repeat(x_index, widths)]
-        grid_y = axis[np.repeat(y_index, widths)]
-        grid_z = z_axis[z_index]
-        candidates = np.stack(
-            canonical_invariants(grid_x, grid_y, grid_z), axis=-1
-        )
-        _COARSE_GRID = (grid_x, grid_y, grid_z, candidates)
-    return _COARSE_GRID
-
-
-def weyl_coordinates(
-    matrix: np.ndarray, refine: bool = True
-) -> Tuple[float, float, float]:
-    """Weyl-chamber coordinates ``(x, y, z)`` of a two-qubit unitary.
-
-    Every two-qubit unitary is locally equivalent to the canonical gate
-    ``exp(i (x XX + y YY + z ZZ))`` for a unique point in the Weyl chamber
-    ``pi/4 >= x >= y >= |z|`` (with ``z >= 0`` when ``x = pi/4``).  The
-    coordinates are found by matching local invariants against the
-    canonical family: the target's invariants are computed once, the
-    canonical side comes from the closed form
-    (:func:`canonical_invariants`), a vectorised chamber grid seeds a
-    bounded least-squares refinement.  The result is
-    convention-independent because it is defined through the library's
-    own :func:`repro.gates.parametric.canonical_gate`.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    if not is_unitary(matrix, atol=1e-6):
-        raise ValueError("weyl_coordinates requires a unitary matrix")
-
-    target = np.asarray(local_invariants(matrix))
-    flip = np.array([-1.0, 1.0, -1.0])
-
-    quarter = np.pi / 4
-    grid_x, grid_y, grid_z, candidates = _coarse_chamber_grid()
-    distances = np.minimum(
-        np.linalg.norm(candidates - target, axis=-1),
-        np.linalg.norm(candidates * flip - target, axis=-1),
-    )
-    best_index = int(np.argmin(distances))
-    best_coords = np.array(
-        [grid_x[best_index], grid_y[best_index], grid_z[best_index]]
-    )
-    best_value = float(distances[best_index])
-    if refine and best_value > 1e-12:
-        from scipy.optimize import least_squares
-
-        # The invariants are smooth in the coordinates, so the matching
-        # problem is a tiny nonlinear least-squares system; trust-region
-        # refinement converges quadratically where the old derivative-free
-        # Powell polish stalled.  Both sign branches of the fourth-root
-        # ambiguity are tried (cheapest first) because the coarse scan
-        # only identifies the branch up to its grid resolution.
-        branches = (np.ones(3), flip)
-        if np.linalg.norm(
-            candidates[best_index] * flip - target
-        ) < np.linalg.norm(candidates[best_index] - target):
-            branches = (flip, np.ones(3))
-        for branch in branches:
-            def residual(coords: np.ndarray) -> np.ndarray:
-                delta = np.asarray(canonical_invariants(*coords)) * branch - target
-                return np.concatenate([delta.real, delta.imag])
-
-            result = least_squares(
-                residual,
-                best_coords,
-                bounds=([0.0, 0.0, -quarter], [quarter, quarter, quarter]),
-                xtol=1e-15,
-                ftol=1e-15,
-                gtol=1e-15,
-                max_nfev=200,
-            )
-            value = float(np.linalg.norm(result.fun))
-            if value < best_value:
-                best_coords = result.x
-                best_value = value
-            if best_value < 1e-10:
-                break
-    # The optimiser may land on any chamber image inside the search box
-    # (e.g. ``(x, -z, -y)``).
-    return _sort_into_chamber(best_coords)
 
 
 def _sort_into_chamber(coordinates) -> Tuple[float, float, float]:
@@ -279,24 +140,25 @@ def _sort_into_chamber(coordinates) -> Tuple[float, float, float]:
     return x, y, z
 
 
-def precise_weyl_coordinates(matrix: np.ndarray) -> np.ndarray:
-    """Weyl-chamber coordinates read off the eigenphases of ``gamma``.
+def weyl_coordinates(matrix: np.ndarray) -> np.ndarray:
+    """Weyl-chamber coordinates ``(x, y, z)`` of a two-qubit unitary, as an array.
 
-    Same chamber point as :func:`weyl_coordinates`, to machine precision
-    everywhere: invariant matching is only quadratically accurate on the
-    chamber's degenerate faces (``x = y``, ``y = |z|``, ``x = pi/4``),
-    where a 1e-10 residual leaves coordinates off by up to ~1e-6, while
-    ``gamma`` is unitary, so its eigenvalues ``exp(2i t_k)`` are exact even
-    when they coincide.  The eigenphases ``t = (x - y + z, -x + y + z,
-    x + y - z, -x - y - z)`` are known up to their order, a multiple of
-    ``pi`` each and the sign of ``gamma``; any choice that sums to zero
-    solves to a point whose image under permutations, sign flips in pairs
-    and ``pi/2`` shifts of single coordinates (all local equivalences) is
-    the chamber point.  Returns it as an array ``(x, y, z)``.
+    Every two-qubit unitary is locally equivalent to the canonical gate
+    ``exp(i (x XX + y YY + z ZZ))`` (:func:`repro.gates.parametric.canonical_gate`)
+    for a unique point in the Weyl chamber ``pi/4 >= x >= y >= |z|``
+    (with ``z >= 0`` when ``x = pi/4``).  The point is read off the
+    eigenphases of ``gamma``: ``gamma`` is unitary, so its eigenvalues
+    ``exp(2i t_k)`` are exact to rounding even on the chamber's degenerate
+    faces (``x = y``, ``y = |z|``, ``x = pi/4``) where they coincide.  The
+    eigenphases ``t = (x - y + z, -x + y + z, x + y - z, -x - y - z)`` are
+    known up to their order, a multiple of ``pi`` each and the sign of
+    ``gamma``; any choice that sums to zero solves to a point whose image
+    under permutations, sign flips in pairs and ``pi/2`` shifts of single
+    coordinates (all local equivalences) is the chamber point.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if not is_unitary(matrix, atol=1e-6):
-        raise ValueError("precise_weyl_coordinates requires a unitary matrix")
+        raise ValueError("weyl_coordinates requires a unitary matrix")
     phases = np.sort(np.angle(np.linalg.eigvals(gamma_matrix(matrix))) / 2.0)
     # The eigenvalues multiply to one, so the halved phases sum to a
     # multiple of pi; move that multiple off the largest ones.
@@ -334,7 +196,7 @@ class KakDecomposition(NamedTuple):
     """``U = phase * (left[0] (x) left[1]) @ A(*point) @ (right[0] (x) right[1])``.
 
     ``A(x, y, z) = exp(i (x XX + y YY + z ZZ))`` (:func:`canonical_unitary`),
-    ``point`` is the chamber point of :func:`precise_weyl_coordinates`, and
+    ``point`` is the chamber point of :func:`weyl_coordinates`, and
     the four factors are 2x2 unitaries; ``right`` acts first.
     """
 
@@ -422,7 +284,7 @@ def kak_decomposition(matrix: np.ndarray) -> KakDecomposition:
     a2, b2 = _tensor_factors(MAGIC_BASIS @ right @ _MAGIC_DAGGER)
 
     # A(c) = A(c - n pi/2 e_k) (i P_k (x) P_k)^n: bring each coordinate
-    # into [-pi/4, pi/4] as precise_weyl_coordinates does.
+    # into [-pi/4, pi/4] as weyl_coordinates does.
     for k, pauli in enumerate(_PAULIS):
         shift = int(np.round(point[k] / (np.pi / 2)))
         point[k] -= shift * np.pi / 2
@@ -479,12 +341,11 @@ def min_cz_count(matrix: np.ndarray, atol: float = 1e-6) -> int:
 
 
 def min_iswap_count(matrix: np.ndarray, atol: float = 1e-6) -> int:
-    """Minimum number of iSWAP gates needed for ``matrix`` (polytope heuristic).
+    """Minimum number of iSWAP gates needed for ``matrix``.
 
-    Exact for the 0- and 1-gate classes; uses the ``z = 0`` Weyl-plane rule
-    for the 2-gate class (two iSWAP applications with arbitrary interleaved
-    single-qubit gates reach exactly the gates with vanishing third Weyl
-    coordinate); everything else needs 3.
+    Two iSWAP applications with arbitrary interleaved single-qubit gates
+    reach exactly the gates with vanishing third Weyl coordinate (``z = 0``,
+    read to 1e-4); everything else needs 3.
     """
     if is_locally_equivalent(matrix, np.eye(4), atol=atol):
         return 0
@@ -497,18 +358,19 @@ def min_iswap_count(matrix: np.ndarray, atol: float = 1e-6) -> int:
 
 
 def min_sqrt_iswap_count(matrix: np.ndarray, atol: float = 1e-6) -> int:
-    """Minimum number of sqrt(iSWAP) gates for ``matrix`` (polytope heuristic).
+    """Minimum number of sqrt(iSWAP) gates needed to implement ``matrix`` exactly.
 
-    Exact for the 0- and 1-gate classes; the 2-gate class is approximated by
-    the ``z = 0`` Weyl plane (which contains CZ, iSWAP and every XY(theta)
-    gate); generic gates and SWAP need 3.
+    Two sqrt(iSWAP) gates with interleaved single-qubit gates reach exactly
+    the Weyl-chamber points with ``x >= y + |z|`` (Huang et al.,
+    arXiv:2105.06074), which contains the ``z = 0`` plane (CZ, iSWAP,
+    every XY(theta)); three reach every gate, SWAP included.
     """
     if is_locally_equivalent(matrix, np.eye(4), atol=atol):
         return 0
     if is_locally_equivalent(matrix, standard.SQRT_ISWAP, atol=atol):
         return 1
-    _, _, z = weyl_coordinates(matrix)
-    if abs(z) < 1e-4:
+    x, y, z = weyl_coordinates(matrix)
+    if x >= y + abs(z) - atol:
         return 2
     return 3
 

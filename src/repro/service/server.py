@@ -521,8 +521,8 @@ class StudyService:
     def stats(self) -> Dict[str, object]:
         """Service-lifetime counters plus every engine cache's counters."""
         from repro.caching.lru import registered_cache_stats
-        from repro.simulators.array_ops import array_backend_stats
         from repro.simulators.backend import backend_invocation_counts
+        from repro.simulators.superop import batched_replay_stats
 
         with self._lock:
             counters = dict(self._counters)
@@ -539,7 +539,7 @@ class StudyService:
                 "retry": retry_stats(),
                 "faults": fault_stats(),
             },
-            "array_backends": array_backend_stats(),
+            "batched_replay": batched_replay_stats(),
             "inflight_compiles": self._compiles.stats(),
             "inflight_simulations": self._simulations.stats(),
             "backend_invocations": backend_invocation_counts(),

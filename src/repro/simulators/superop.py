@@ -47,27 +47,20 @@ on the program instance itself (programs are immutable and process-wide
 cached, so the lowering cost is paid once per distinct compiled circuit
 -- and rides along when programs are pickled to worker pools).
 
-Two extensions sit on top of the single-rho kernels:
-
-* **Array-ops routing** -- every contraction goes through the pluggable
-  :mod:`repro.simulators.array_ops` backend (numpy default, selected by
-  ``REPRO_ARRAY_BACKEND``).  The numpy backend binds ``np.*`` directly,
-  so default-path numerics are unchanged; a GPU backend slots in without
-  touching the kernels.
-* **Batched replay** -- :func:`apply_superop_program_batch` applies one
-  program (or a :func:`batch_superop_programs` stack of
-  structure-identical programs, e.g. an error-scale sweep's B noise
-  programs over one compiled circuit) to a ``(B, 2^n, 2^n)`` stack of
-  density matrices in one vectorised pass per fused group: a batched
-  ``matmul`` of the ``(B, 4^k, 4^k)`` stacked group tensors against the
-  ``(B, 4^k, 4^{n-k})`` rho views, with the batch axis-permutation plans
-  precomputed at lowering time.  Per item the GEMM operands and shapes
-  equal the sequential :func:`apply_superop_program` contraction, so
-  batched results track per-job fused replay to ``<= 1e-10``
-  (``tests/test_batched_replay.py`` pins it).  The
-  ``REPRO_SIM_BATCH_MAX_BYTES`` cap (:func:`max_batch_items`) bounds the
-  ``B x 4^n`` working set the same warn-and-default way the other env
-  knobs are parsed.
+Batched replay extends the single-rho kernels:
+:func:`apply_superop_program_batch` applies one program (or a
+:func:`batch_superop_programs` stack of structure-identical programs, e.g.
+an error-scale sweep's B noise programs over one compiled circuit) to a
+``(B, 2^n, 2^n)`` stack of density matrices in one vectorised pass per
+fused group: a batched ``matmul`` of the ``(B, 4^k, 4^k)`` stacked group
+tensors against the ``(B, 4^k, 4^{n-k})`` rho views, with the batch
+axis-permutation plans precomputed at lowering time.  Per item the GEMM
+operands and shapes equal the sequential :func:`apply_superop_program`
+contraction, so batched results track per-job fused replay to ``<= 1e-10``
+(``tests/test_batched_replay.py`` pins it).  The
+``REPRO_SIM_BATCH_MAX_BYTES`` cap (:func:`max_batch_items`) bounds the
+``B x 4^n`` working set the same warn-and-default way the other env knobs
+are parsed, and :func:`batched_replay_stats` counts the passes.
 """
 
 from __future__ import annotations
@@ -79,11 +72,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.config import positive_int_env
-from repro.simulators.array_ops import (
-    ArrayBackend,
-    active_array_backend,
-    record_batched_apply,
-)
 from repro.simulators.noise import KrausChannel
 from repro.simulators.noise_program import NoiseProgram
 
@@ -329,41 +317,15 @@ def lower_noise_program(program: NoiseProgram) -> SuperopProgram:
     )
 
 
-def _device(ops: ArrayBackend, array: np.ndarray):
-    """A precomputed (host) plan tensor, moved to the backend's device.
-
-    The numpy backend passes arrays through untouched; non-numpy
-    backends copy per call (device-resident plan caching is future
-    work -- this container has no GPU to measure it on).
-    """
-    if ops.name == "numpy":
-        return array
-    return ops.asarray(array)  # pragma: no cover - needs a non-numpy backend
-
-
-def apply_superop_program(
-    superop_program: SuperopProgram,
-    rho: np.ndarray,
-    ops: Optional[ArrayBackend] = None,
-) -> np.ndarray:
-    """Replay a lowered program on a density matrix: one contraction per group.
-
-    Contractions route through the active array backend
-    (:func:`repro.simulators.array_ops.active_array_backend`); the numpy
-    default binds the identical ``np.tensordot``/``np.transpose`` calls
-    this function always made, so default-path results are unchanged.
-    """
-    if ops is None:
-        ops = active_array_backend()
+def apply_superop_program(superop_program: SuperopProgram, rho: np.ndarray) -> np.ndarray:
+    """Replay a lowered program on a density matrix: one contraction per group."""
     n = superop_program.num_qubits
-    tensor = ops.reshape(ops.asarray(rho, dtype=complex), (2,) * (2 * n))
+    tensor = np.reshape(np.asarray(rho, dtype=complex), (2,) * (2 * n))
     for group in superop_program.groups:
-        tensor = ops.tensordot(
-            _device(ops, group.tensor), tensor, axes=(group.input_axes, group.rho_axes)
-        )
-        tensor = ops.transpose(tensor, group.inverse)
+        tensor = np.tensordot(group.tensor, tensor, axes=(group.input_axes, group.rho_axes))
+        tensor = np.transpose(tensor, group.inverse)
     dim = 2**n
-    return ops.to_numpy(ops.reshape(tensor, (dim, dim)))
+    return np.reshape(tensor, (dim, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +449,31 @@ def batch_superop_programs(
     )
 
 
+_BATCH_STATS = {"batched_passes": 0, "batched_items": 0}
+_BATCH_STATS_LOCK = threading.Lock()
+
+
+def batched_replay_stats() -> Dict[str, int]:
+    """Batched-replay counters since the last reset.
+
+    ``batched_passes`` counts vectorised :func:`apply_superop_program_batch`
+    passes; ``batched_items`` the density matrices they carried (so
+    ``items / passes`` is the realised mean batch size).  Surfaced by
+    ``repro cache stats`` and the service ``/v1/stats`` payload.
+    """
+    with _BATCH_STATS_LOCK:
+        return dict(_BATCH_STATS)
+
+
+def reset_batched_replay_stats() -> None:
+    """Zero the batched-replay counters (tests/benchmarks)."""
+    with _BATCH_STATS_LOCK:
+        _BATCH_STATS.update(batched_passes=0, batched_items=0)
+
+
 def apply_superop_program_batch(
     program_batch_or_program: Union[SuperopProgram, SuperopProgramBatch],
     rhos: np.ndarray,
-    ops: Optional[ArrayBackend] = None,
 ) -> np.ndarray:
     """Replay on a ``(B, 2^n, 2^n)`` stack: one vectorised pass per group.
 
@@ -503,19 +486,15 @@ def apply_superop_program_batch(
     batch axis permutations precomputed at lowering time -- per item the
     GEMM operands equal the sequential :func:`apply_superop_program`
     contraction, which is what keeps batched results within ``1e-10`` of
-    per-job fused replay.  Records one pass of ``B`` items against the
-    active array backend's counters.
+    per-job fused replay.  Counts one pass of ``B`` items in
+    :func:`batched_replay_stats`.
     """
-    if ops is None:
-        ops = active_array_backend()
+    num_qubits = program_batch_or_program.num_qubits
+    groups = program_batch_or_program.groups
     if isinstance(program_batch_or_program, SuperopProgram):
-        num_qubits = program_batch_or_program.num_qubits
-        groups = program_batch_or_program.groups
-        operator_of = lambda group: _device(ops, group.superoperator)  # noqa: E731
+        operators = [group.superoperator for group in groups]
     else:
-        num_qubits = program_batch_or_program.num_qubits
-        groups = program_batch_or_program.groups
-        operator_of = lambda group: _device(ops, group.stacked)  # noqa: E731
+        operators = [group.stacked for group in groups]
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2] or rhos.shape[1] != 2**num_qubits:
         raise ValueError(
@@ -531,18 +510,19 @@ def apply_superop_program_batch(
             f"rho stack carries {batch} items but the program batch carries "
             f"{program_batch_or_program.batch_size}"
         )
-    tensor = ops.reshape(ops.asarray(rhos, dtype=complex), (batch,) + (2,) * (2 * num_qubits))
     permuted_shape = (batch,) + (2,) * (2 * num_qubits)
-    for group in groups:
+    tensor = np.reshape(rhos, permuted_shape)
+    for group, operator in zip(groups, operators):
         k = len(group.qubits)
-        view = ops.transpose(tensor, group.batch_forward)
-        view = ops.reshape(view, (batch, 4**k, 4 ** (num_qubits - k)))
-        out = ops.matmul(operator_of(group), view)
-        out = ops.reshape(out, permuted_shape)
-        tensor = ops.transpose(out, group.batch_restore)
-    record_batched_apply(ops.name, batch)
+        view = np.transpose(tensor, group.batch_forward)
+        view = np.reshape(view, (batch, 4**k, 4 ** (num_qubits - k)))
+        out = np.reshape(np.matmul(operator, view), permuted_shape)
+        tensor = np.transpose(out, group.batch_restore)
+    with _BATCH_STATS_LOCK:
+        _BATCH_STATS["batched_passes"] += 1
+        _BATCH_STATS["batched_items"] += batch
     dim = 2**num_qubits
-    return ops.to_numpy(ops.reshape(tensor, (batch, dim, dim)))
+    return np.reshape(tensor, (batch, dim, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -636,54 +616,44 @@ def lower_trajectory_program(program: NoiseProgram) -> TrajectoryPlan:
 
 
 def _apply_operator_single(
-    state_tensor: np.ndarray, plan: ChannelPlan, index: int, ops: ArrayBackend
+    state_tensor: np.ndarray, plan: ChannelPlan, index: int
 ) -> np.ndarray:
     """Apply branch ``index`` to one ``(2,) * n`` state tensor."""
-    result = ops.tensordot(
-        _device(ops, plan.stacked[index]),
-        state_tensor,
-        axes=(plan.operator_input_axes, plan.state_axes),
+    result = np.tensordot(
+        plan.stacked[index], state_tensor, axes=(plan.operator_input_axes, plan.state_axes)
     )
-    return ops.transpose(result, plan.single_inverse)
+    return np.transpose(result, plan.single_inverse)
 
 
 def _apply_operator_batch(
-    states_tensor: np.ndarray, plan: ChannelPlan, index: int, ops: ArrayBackend
+    states_tensor: np.ndarray, plan: ChannelPlan, index: int
 ) -> np.ndarray:
     """Apply branch ``index`` to a ``(T,) + (2,) * n`` state stack."""
-    result = ops.tensordot(
-        _device(ops, plan.stacked[index]),
+    result = np.tensordot(
+        plan.stacked[index],
         states_tensor,
         axes=(plan.operator_input_axes, plan.batch_state_axes),
     )
-    return ops.transpose(result, plan.batch_inverse)
+    return np.transpose(result, plan.batch_inverse)
 
 
-def _apply_stacked_single(
-    state_tensor: np.ndarray, plan: ChannelPlan, ops: ArrayBackend
-) -> np.ndarray:
+def _apply_stacked_single(state_tensor: np.ndarray, plan: ChannelPlan) -> np.ndarray:
     """All ``m`` branches of one state at once; returns ``(m, 2^n)``."""
-    result = ops.tensordot(
-        _device(ops, plan.stacked),
-        state_tensor,
-        axes=(plan.stacked_input_axes, plan.state_axes),
+    result = np.tensordot(
+        plan.stacked, state_tensor, axes=(plan.stacked_input_axes, plan.state_axes)
     )
-    result = ops.transpose(result, plan.stacked_single_inverse)
-    return ops.reshape(result, (plan.num_branches, -1))
+    result = np.transpose(result, plan.stacked_single_inverse)
+    return np.reshape(result, (plan.num_branches, -1))
 
 
-def _apply_stacked_batch(
-    states_tensor: np.ndarray, plan: ChannelPlan, ops: ArrayBackend
-) -> np.ndarray:
+def _apply_stacked_batch(states_tensor: np.ndarray, plan: ChannelPlan) -> np.ndarray:
     """All ``m`` branches of a ``(T,)``-stack at once; returns ``(m, T, 2^n)``."""
-    result = ops.tensordot(
-        _device(ops, plan.stacked),
-        states_tensor,
-        axes=(plan.stacked_input_axes, plan.batch_state_axes),
+    result = np.tensordot(
+        plan.stacked, states_tensor, axes=(plan.stacked_input_axes, plan.batch_state_axes)
     )
-    result = ops.transpose(result, plan.stacked_batch_inverse)
+    result = np.transpose(result, plan.stacked_batch_inverse)
     batch = result.shape[1]
-    return ops.reshape(result, (plan.num_branches, batch, -1))
+    return np.reshape(result, (plan.num_branches, batch, -1))
 
 
 def apply_trajectory_plan_to_state(
@@ -695,24 +665,21 @@ def apply_trajectory_plan_to_state(
     (gates, single-operator channels) draw nothing; stochastic channels
     draw once via ``rng.choice`` over the branch weights.
     """
-    ops = active_array_backend()
     n = trajectory_plan.num_qubits
-    tensor = ops.reshape(ops.asarray(state, dtype=complex), (2,) * n)
+    tensor = np.reshape(np.asarray(state, dtype=complex), (2,) * n)
     for plan in trajectory_plan.channel_plans:
         if plan.num_branches == 1:
-            tensor = _apply_operator_single(tensor, plan, 0, ops)
+            tensor = _apply_operator_single(tensor, plan, 0)
             continue
-        branches = _apply_stacked_single(tensor, plan, ops)
-        weights = np.asarray(
-            ops.to_numpy(ops.einsum("mi,mi->m", branches, branches.conj()))
-        ).real
+        branches = _apply_stacked_single(tensor, plan)
+        weights = np.einsum("mi,mi->m", branches, branches.conj()).real
         total = weights.sum()
         if total <= 0:
             raise RuntimeError("channel produced zero total probability")
         choice = rng.choice(plan.num_branches, p=weights / total)
         branch = branches[choice]
-        tensor = ops.reshape(branch / np.linalg.norm(branch), (2,) * n)
-    return np.asarray(ops.to_numpy(ops.reshape(tensor, (-1,))))
+        tensor = np.reshape(branch / np.linalg.norm(branch), (2,) * n)
+    return np.reshape(tensor, (-1,))
 
 
 def apply_trajectory_plan_to_states(
@@ -735,27 +702,24 @@ def apply_trajectory_plan_to_states(
         from repro.simulators.trajectory import _BRANCH_STORAGE_LIMIT
 
         branch_storage_limit = _BRANCH_STORAGE_LIMIT
-    ops = active_array_backend()
     n = trajectory_plan.num_qubits
     num_trajectories = states.shape[0]
-    tensor = ops.reshape(
-        ops.asarray(states, dtype=complex), (num_trajectories,) + (2,) * n
-    )
+    tensor = np.reshape(np.asarray(states, dtype=complex), (num_trajectories,) + (2,) * n)
     for plan in trajectory_plan.channel_plans:
         if plan.num_branches == 1:
-            tensor = _apply_operator_batch(tensor, plan, 0, ops)
+            tensor = _apply_operator_batch(tensor, plan, 0)
             continue
         m = plan.num_branches
         keep_branches = m * num_trajectories * 2**n <= branch_storage_limit
         branches = None
         if keep_branches:
-            branches = np.asarray(ops.to_numpy(_apply_stacked_batch(tensor, plan, ops)))
+            branches = _apply_stacked_batch(tensor, plan)
             weights = np.einsum("mti,mti->mt", branches, branches.conj()).real
         else:
             weights = np.empty((m, num_trajectories))
             for index in range(m):
-                candidate = _apply_operator_batch(tensor, plan, index, ops)
-                flat = np.asarray(ops.to_numpy(candidate)).reshape(num_trajectories, -1)
+                candidate = _apply_operator_batch(tensor, plan, index)
+                flat = candidate.reshape(num_trajectories, -1)
                 weights[index] = np.einsum("ti,ti->t", flat, flat.conj()).real
         totals = weights.sum(axis=0)
         if np.any(totals <= 0):
@@ -766,24 +730,19 @@ def apply_trajectory_plan_to_states(
         if branches is not None:
             chosen = branches[choices, np.arange(num_trajectories)]
             norms = np.sqrt(np.einsum("ti,ti->t", chosen, chosen.conj()).real)
-            tensor = ops.asarray(
-                (chosen / norms[:, None]).reshape((num_trajectories,) + (2,) * n)
-            )
+            tensor = (chosen / norms[:, None]).reshape((num_trajectories,) + (2,) * n)
             continue
-        host_tensor = np.asarray(ops.to_numpy(tensor))
         output = np.empty((num_trajectories, 2**n), dtype=complex)
         for index in range(m):
             mask = choices == index
             if not np.any(mask):
                 continue
-            subset = ops.asarray(host_tensor[mask])
-            chosen = np.asarray(
-                ops.to_numpy(_apply_operator_batch(subset, plan, index, ops))
-            ).reshape(int(mask.sum()), -1)
+            subset = tensor[mask]
+            chosen = _apply_operator_batch(subset, plan, index).reshape(int(mask.sum()), -1)
             norms = np.sqrt(np.einsum("ti,ti->t", chosen, chosen.conj()).real)
             output[mask] = chosen / norms[:, None]
-        tensor = ops.asarray(output.reshape((num_trajectories,) + (2,) * n))
-    return np.asarray(ops.to_numpy(ops.reshape(tensor, (num_trajectories, -1))))
+        tensor = output.reshape((num_trajectories,) + (2,) * n)
+    return np.reshape(tensor, (num_trajectories, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from repro.experiments.engine import (
 )
 from repro.experiments.runner import SimulationOptions
 from repro.metrics.hop import heavy_output_probability
-from repro.simulators.array_ops import array_backend_stats, reset_array_backend_stats
 from repro.simulators.backend import (
     SIM_KERNEL_ENV_VAR,
     backend_invocation_counts,
@@ -52,7 +51,9 @@ from repro.simulators.superop import (
     apply_superop_program,
     apply_superop_program_batch,
     batch_superop_programs,
+    batched_replay_stats,
     max_batch_items,
+    reset_batched_replay_stats,
     superop_program_for,
     superop_structure_key,
 )
@@ -118,16 +119,16 @@ class TestKernelEquivalence:
         batched = apply_superop_program_batch(superop, rhos)
         assert np.max(np.abs(batched - sequential)) <= TOLERANCE
 
-    def test_batched_pass_is_recorded_per_backend(self):
-        reset_array_backend_stats()
+    def test_batched_pass_is_recorded(self):
+        reset_batched_replay_stats()
         program = test_superop.random_program(2, seed=5, noisy=True)
         rhos = np.stack(
             [test_superop.random_density_matrix(2, seed=i) for i in range(3)]
         )
         apply_superop_program_batch(superop_program_for(program), rhos)
-        stats = array_backend_stats()
-        assert stats["numpy"]["batched_passes"] == 1
-        assert stats["numpy"]["batched_items"] == 3
+        stats = batched_replay_stats()
+        assert stats["batched_passes"] == 1
+        assert stats["batched_items"] == 3
 
     def test_structure_mismatch_refuses_to_batch(self):
         a = superop_program_for(test_superop.random_program(3, seed=1, noisy=True))
@@ -168,6 +169,35 @@ class TestMemoryCap:
         monkeypatch.setenv(SIM_BATCH_MAX_BYTES_ENV_VAR, "lots")
         with pytest.warns(RuntimeWarning, match=SIM_BATCH_MAX_BYTES_ENV_VAR):
             assert sim_batch_max_bytes() == DEFAULT_SIM_BATCH_MAX_BYTES
+
+
+class TestBatchOption:
+    def test_simulation_options_validate_batch(self):
+        with pytest.raises(ValueError, match="batch"):
+            SimulationOptions(batch=-1)
+        assert SimulationOptions(batch=0).batch == 0
+        assert SimulationOptions(batch=7).batch == 7
+
+    def test_batch_excluded_from_fingerprint(self):
+        assert (
+            SimulationOptions(batch=0).fingerprint()
+            == SimulationOptions(batch=1).fingerprint()
+            == SimulationOptions(batch=7).fingerprint()
+        )
+
+
+class TestBatchCounters:
+    def test_record_and_reset(self):
+        reset_batched_replay_stats()
+        program = superop_program_for(test_superop.random_program(2, seed=5, noisy=True))
+        for items in (5, 2):
+            rhos = np.stack(
+                [test_superop.random_density_matrix(2, seed=i) for i in range(items)]
+            )
+            apply_superop_program_batch(program, rhos)
+        assert batched_replay_stats() == {"batched_passes": 2, "batched_items": 7}
+        reset_batched_replay_stats()
+        assert batched_replay_stats() == {"batched_passes": 0, "batched_items": 0}
 
 
 class TestBackendBatch:
@@ -254,7 +284,7 @@ class TestEngineBatching:
 
         clear_experiment_caches()
         reset_backend_invocation_counts()
-        reset_array_backend_stats()
+        reset_batched_replay_stats()
         engine.store_simulation = capture_keys("batched")
         try:
             batched = run_study(
@@ -269,7 +299,7 @@ class TestEngineBatching:
         assert _rows(batched) == _rows(sequential)
         assert captured["batched"] == captured["sequential"]
         assert batched_invocations < sequential_invocations
-        assert array_backend_stats()["numpy"]["batched_passes"] >= 1
+        assert batched_replay_stats()["batched_passes"] >= 1
 
     def test_warm_batched_rerun_is_free_and_identical(self, shared_decomposer):
         kwargs = _sweep_study_kwargs(shared_decomposer)
@@ -290,9 +320,9 @@ class TestEngineBatching:
     def test_batch_knob_caps_group_sizes(self, shared_decomposer, monkeypatch):
         kwargs = _sweep_study_kwargs(shared_decomposer)
         clear_experiment_caches()
-        reset_array_backend_stats()
+        reset_batched_replay_stats()
         run_study(**kwargs, options=SimulationOptions(shots=902, seed=7, batch=2))
-        stats = array_backend_stats()["numpy"]
+        stats = batched_replay_stats()
         # 3 same-structure jobs per circuit chunked at 2 -> groups of 2
         # and 1; only the pairs run vectorised passes.
         assert stats["batched_passes"] >= 1
@@ -309,11 +339,11 @@ class TestEngineBatching:
         clear_experiment_caches()
         sequential = run_study(**kwargs, options=SimulationOptions(**options))
         clear_experiment_caches()
-        reset_array_backend_stats()
+        reset_batched_replay_stats()
         batched = run_study(**kwargs, options=SimulationOptions(**options, batch=0))
         # supports_batched_run is False on the reference kernel, so no
         # vectorised pass ever runs and results stay byte-identical.
-        assert array_backend_stats() == {}
+        assert batched_replay_stats() == {"batched_passes": 0, "batched_items": 0}
         assert _rows(batched) == _rows(sequential)
 
 

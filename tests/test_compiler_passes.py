@@ -289,15 +289,6 @@ class TestPassErrorHandling:
 
 
 class TestDeprecations:
-    def test_map_and_route_warns(self):
-        from repro.compiler.passes import map_and_route
-
-        device = synthetic_device(4, "line", seed=11)
-        device.register_gate_type("cz")
-        with pytest.warns(DeprecationWarning, match="map_and_route is deprecated"):
-            routed = map_and_route(QuantumCircuit(2).cz(0, 1), device, ["cz"])
-        assert routed.circuit.num_two_qubit_gates() == 1
-
     def test_reference_runner_warns(self, shared_decomposer):
         from repro.core.instruction_sets import single_gate_set
         from repro.experiments.runner import (

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.compiler.layout import Layout
+from repro.compiler.layout import Layout, choose_layout
 from repro.compiler.onequbit import (
     count_single_qubit_layers,
     merge_single_qubit_gates,
     strip_identities,
 )
-from repro.compiler.passes import map_and_route
 from repro.compiler.routing import route_circuit
 from repro.compiler.scheduling import asap_schedule
 from repro.devices.device import Device, GateErrorDistribution
@@ -90,11 +89,11 @@ class TestRouting:
         permutation = routed.slot_permutation()
         assert sorted(permutation) == [0, 1, 2]
 
-    def test_map_and_route_on_sycamore(self):
+    def test_choose_layout_and_route_on_sycamore(self):
         device = sycamore_device()
         device.register_gate_type("syc")
         circuit = QuantumCircuit(5).cz(0, 4).cz(1, 3).cz(0, 2)
-        routed = map_and_route(circuit, device, ["syc"])
+        routed = route_circuit(circuit, device, choose_layout(circuit, device, ["syc"]))
         for operation in routed.circuit.two_qubit_operations():
             if operation.gate.name == "swap":
                 continue

@@ -122,12 +122,6 @@ class TestCallerWiring:
         monkeypatch.delenv(SIM_KERNEL_ENV_VAR)
         assert active_simulation_kernel() == "fused"
 
-    def test_array_backend_reads_through_str_env(self, monkeypatch):
-        from repro.simulators.array_ops import ARRAY_BACKEND_ENV_VAR, active_array_backend
-
-        monkeypatch.setenv(ARRAY_BACKEND_ENV_VAR, " NumPy ")
-        assert active_array_backend().name == "numpy"
-
     def test_autotune_candidates_read_through_list_env(self, monkeypatch):
         from repro.compiler.autotune import (
             CANDIDATES_ENV_VAR,

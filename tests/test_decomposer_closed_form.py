@@ -45,7 +45,7 @@ from repro.core.decomposer import (
 )
 from repro.core.gate_types import all_google_types, google_gate_type, rigetti_gate_type
 from repro.experiments.engine import clear_experiment_caches
-from repro.gates.kak import precise_weyl_coordinates
+from repro.gates.kak import weyl_coordinates
 from repro.gates.parametric import canonical_gate, cphase, fsim, rzz, xy
 from repro.gates.unitary import random_su4, random_unitary
 
@@ -60,7 +60,7 @@ SUPERCONTROLLED = {"cz", "fsim(1.570796,0.000000)", "xy(3.141593)"}
 
 
 def synthesis_kind(gate):
-    return None if gate is None else supercontrolled_kind(precise_weyl_coordinates(gate.matrix))
+    return None if gate is None else supercontrolled_kind(weyl_coordinates(gate.matrix))
 
 
 def reference_profile(decomposer, target, gate, family, limit):
@@ -126,7 +126,7 @@ def default_optimum(decomposer, target, gate, family, num_layers):
 
 
 def gate_point(gate):
-    return None if gate is None else precise_weyl_coordinates(gate.matrix)
+    return None if gate is None else weyl_coordinates(gate.matrix)
 
 
 def closed_form_counts(gate, family):
@@ -148,7 +148,7 @@ class TestSoundness:
         decomposer = NuOpDecomposer()
         worst = np.inf
         for target in haar_targets(100, seed=100):
-            bound = closed_form_fidelity(precise_weyl_coordinates(target), None, None, 0)
+            bound = closed_form_fidelity(weyl_coordinates(target), None, None, 0)
             optimum = default_optimum(decomposer, target, None, None, 0)
             worst = min(worst, bound - optimum)
         assert worst >= -1e-9
@@ -159,7 +159,7 @@ class TestSoundness:
         point = gate_point(gate)
         worst = np.inf
         for target in haar_targets(100, seed=101):
-            target_point = precise_weyl_coordinates(target)
+            target_point = weyl_coordinates(target)
             for num_layers in closed_form_counts(gate, family):
                 bound = closed_form_fidelity(target_point, point, family, num_layers)
                 optimum = default_optimum(decomposer, target, gate, family, num_layers)
@@ -180,15 +180,15 @@ class TestSoundness:
         assert worst >= -1e-9
 
     def test_continuous_families_have_one_layer_closed_forms_only(self):
-        point = precise_weyl_coordinates(haar_targets(1, seed=3)[0])
+        point = weyl_coordinates(haar_targets(1, seed=3)[0])
         assert closed_form_fidelity(point, None, "fsim", 1) is not None
         assert closed_form_fidelity(point, None, "fsim", 2) is None
         assert closed_form_fidelity(point, None, "xy", 2) is None
 
     def test_one_layer_reaches_every_class_of_its_family(self):
         for theta, phi in np.random.default_rng(8).uniform(-np.pi, np.pi, (20, 2)):
-            fsim_point = precise_weyl_coordinates(fsim(theta, phi))
-            xy_point = precise_weyl_coordinates(xy(theta))
+            fsim_point = weyl_coordinates(fsim(theta, phi))
+            xy_point = weyl_coordinates(xy(theta))
             assert closed_form_fidelity(fsim_point, None, "fsim", 1) == pytest.approx(1.0, abs=1e-12)
             assert closed_form_fidelity(xy_point, None, "xy", 1) == pytest.approx(1.0, abs=1e-12)
 
@@ -217,7 +217,7 @@ class TestReachability:
         decomposer = NuOpDecomposer()
         point = gate_point(gate)
         for target in haar_targets(10, seed=102):
-            target_point = precise_weyl_coordinates(target)
+            target_point = weyl_coordinates(target)
             for num_layers in (0,) + closed_form_counts(gate, family):
                 bound = closed_form_fidelity(target_point, point, family, num_layers)
                 template = decomposer._make_template(num_layers, gate, family)
@@ -296,7 +296,7 @@ class TestSkipRules:
         point = (np.pi / 4, angle, 0.0)
         target = dressed(point, seed=5)
         bound = closed_form_fidelity(
-            precise_weyl_coordinates(target), gate_point(gate), None, num_layers
+            weyl_coordinates(target), gate_point(gate), None, num_layers
         )
         assert 1.0 - bound == pytest.approx(infidelity, rel=1e-6)
         decomposer = NuOpDecomposer()
@@ -335,7 +335,7 @@ class TestSynthesis:
         targets = haar_targets(100, seed=105) + list(STRUCTURED_TARGETS.values())
         targets += [dressed(point, seed=6) for point in FACE_POINTS]
         for target in targets:
-            t_z = precise_weyl_coordinates(target)[2]
+            t_z = weyl_coordinates(target)[2]
             fidelity, params = synthesise_supercontrolled(target, gate.matrix, kind, 2)
             assert abs(fidelity - abs(np.cos(t_z))) < 1e-12
             template = decomposer._make_template(2, gate, None)

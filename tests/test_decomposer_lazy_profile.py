@@ -35,7 +35,7 @@ from repro.core.gate_types import all_google_types, rigetti_gate_type
 from repro.core.instruction_sets import google_instruction_set, rigetti_instruction_set
 from repro.core.noise_adaptive import decompose_with_instruction_set
 from repro.core.templates import TemplateSpec
-from repro.gates.kak import precise_weyl_coordinates
+from repro.gates.kak import weyl_coordinates
 from repro.gates.parametric import cphase
 from repro.gates.standard import CZ
 from repro.gates.unitary import random_su4
@@ -53,7 +53,7 @@ def all_counts_profile(decomposer, target, gate, family):
     """Every count optimised in turn on one shared generator, with offsets;
     supercontrolled layers 2-3 are synthesised and draw nothing."""
     rng = np.random.default_rng(decomposer.seed)
-    kind = None if gate is None else supercontrolled_kind(precise_weyl_coordinates(gate.matrix))
+    kind = None if gate is None else supercontrolled_kind(weyl_coordinates(gate.matrix))
     profile, offset = [], 0
     for num_layers in range(decomposer.max_layers + 1):
         if kind is not None and num_layers in (2, 3):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.gates import standard
 from repro.gates.kak import (
     MAGIC_BASIS,
-    canonical_invariants,
     canonical_unitary,
     gamma_matrix,
     invariant_distance,
@@ -22,7 +21,6 @@ from repro.gates.kak import (
     min_gate_count,
     min_iswap_count,
     min_sqrt_iswap_count,
-    precise_weyl_coordinates,
     weyl_coordinates,
 )
 from repro.gates.parametric import canonical_gate, cphase, fsim, rzz, u3, xy
@@ -134,9 +132,8 @@ def _pinned_inputs():
 
 
 class TestPinnedCoordinates:
-    """``weyl_coordinates`` is bit-identical to the values captured before
-    its coarse chamber grid was generated in place instead of filtered out
-    of a full meshgrid (``tests/golden/weyl_coordinates.json``)."""
+    """``weyl_coordinates`` is bit-identical to the values captured from its
+    eigenphase reading (``tests/golden/weyl_coordinates.json``)."""
 
     def test_outputs_match_golden_bits(self):
         golden = json.loads(
@@ -154,7 +151,7 @@ def rebuild(kak) -> np.ndarray:
 
 class TestKakDecomposition:
     """``U = phase (a1 (x) b1) A(x, y, z) (a2 (x) b2)`` with the chamber point
-    of :func:`precise_weyl_coordinates`."""
+    of :func:`weyl_coordinates`."""
 
     FACES = {
         "identity": np.eye(4, dtype=complex),
@@ -177,12 +174,12 @@ class TestKakDecomposition:
             assert np.abs(rebuild(kak) - target).max() < 1e-12
             for factor in kak.left + kak.right:
                 assert is_unitary(factor, atol=1e-12)
-            assert np.abs(kak.point - precise_weyl_coordinates(target)).max() < 1e-9
+            assert np.abs(kak.point - weyl_coordinates(target)).max() < 1e-9
 
     def test_pinned_inputs_share_the_precise_chamber_point(self):
         for name, matrix in _pinned_inputs().items():
             kak = kak_decomposition(matrix)
-            assert np.abs(kak.point - precise_weyl_coordinates(matrix)).max() < 1e-9, name
+            assert np.abs(kak.point - weyl_coordinates(matrix)).max() < 1e-9, name
             assert np.abs(rebuild(kak) - matrix).max() < 1e-12, name
 
     @pytest.mark.parametrize("name", list(FACES))
@@ -191,7 +188,7 @@ class TestKakDecomposition:
         gate = self.FACES[name]
         for matrix in [gate] + [random_local(rng) @ gate @ random_local(rng) for _ in range(10)]:
             kak = kak_decomposition(matrix)
-            assert np.abs(kak.point - precise_weyl_coordinates(matrix)).max() < 1e-9
+            assert np.abs(kak.point - weyl_coordinates(matrix)).max() < 1e-9
             assert np.abs(rebuild(kak) - matrix).max() < 1e-12
 
     def test_rejects_non_unitary(self):
@@ -200,8 +197,7 @@ class TestKakDecomposition:
 
 
 class TestPreciseWeylCoordinates:
-    """Eigenphase polish: exact on the degenerate faces where invariant
-    matching is only quadratically accurate."""
+    """The eigenphase reading is exact on the chamber's degenerate faces."""
 
     @pytest.mark.parametrize(
         "point",
@@ -222,35 +218,13 @@ class TestPreciseWeylCoordinates:
     )
     def test_recovers_chamber_points(self, rng, point):
         target = random_local(rng) @ canonical_gate(*point) @ random_local(rng)
-        assert np.allclose(precise_weyl_coordinates(target), point, atol=1e-12)
+        assert np.allclose(weyl_coordinates(target), point, atol=1e-12)
 
     def test_random_targets_stay_in_the_same_class(self, rng):
         for _ in range(20):
             target = random_su4(rng)
-            point = precise_weyl_coordinates(target)
+            point = weyl_coordinates(target)
             assert invariant_distance(canonical_gate(*point), target) < 1e-12
-            assert np.allclose(point, weyl_coordinates(target), atol=1e-6)
-
-
-class TestCanonicalInvariants:
-    def test_closed_form_matches_eigenvalue_invariants(self, rng):
-        for _ in range(5):
-            x, y, z = np.sort(rng.uniform(0.0, QUARTER, size=3))[::-1]
-            if rng.uniform() < 0.5:
-                z = -z
-            closed = np.asarray(canonical_invariants(x, y, z))
-            spectral = np.asarray(local_invariants(canonical_gate(x, y, z)))
-            assert np.allclose(closed, spectral, atol=1e-12)
-
-    def test_broadcasts_over_coordinate_arrays(self):
-        xs = np.array([0.0, QUARTER, 0.3])
-        ys = np.array([0.0, 0.0, 0.2])
-        zs = np.array([0.0, 0.0, -0.1])
-        e1, e2, e3 = canonical_invariants(xs, ys, zs)
-        assert e1.shape == e2.shape == e3.shape == (3,)
-        for i in range(3):
-            scalar = canonical_invariants(xs[i], ys[i], zs[i])
-            assert np.allclose([e1[i], e2[i], e3[i]], scalar)
 
 
 class TestWeylRoundTrip:
@@ -274,10 +248,8 @@ class TestWeylRoundTrip:
         ) == pytest.approx(0.0, abs=1e-6)
 
     def test_randomized_canonical_reconstruction(self, rng):
-        # Interior sampling: the invariant map is quadratically flat near
-        # the chamber corners and faces, where coordinates are recovered
-        # to ~1e-2 at best regardless of implementation.  Away from the
-        # boundary the round-trip is sharp.
+        # Interior sampling; the faces are covered by
+        # TestPreciseWeylCoordinates.
         for _ in range(6):
             x = rng.uniform(0.3, 0.7)
             y = rng.uniform(0.08, x - 0.05)
@@ -325,6 +297,43 @@ class TestMinimalGateCounts:
         assert min_sqrt_iswap_count(standard.ISWAP) == 2
         assert min_sqrt_iswap_count(standard.CZ) == 2
         assert min_sqrt_iswap_count(standard.SWAP) == 3
+
+    @pytest.mark.parametrize(
+        "point, count",
+        [
+            ((QUARTER, 0.1, 0.1), 2),  # x >= y + |z|, off the z = 0 plane
+            ((0.6, 0.3, 0.25), 2),
+            ((0.6, 0.3, -0.25), 2),
+            ((0.5, 0.3, 0.2), 2),  # on the boundary x = y + |z|
+            ((0.5, 0.3, 0.25), 3),
+            ((0.5, 0.5, 0.2), 3),
+        ],
+    )
+    def test_sqrt_iswap_two_gate_region(self, rng, point, count):
+        """Two sqrt(iSWAP) gates reach exactly ``x >= y + |z|`` (Huang et
+        al., arXiv:2105.06074), a superset of the ``z = 0`` plane."""
+        target = random_local(rng) @ canonical_gate(*point) @ random_local(rng)
+        assert min_sqrt_iswap_count(target) == count
+
+    def test_two_sqrt_iswap_layers_reach_the_region_off_the_plane(self):
+        """Numerical witness: two sqrt(iSWAP) layers with optimised
+        single-qubit gates implement ``canonical_gate(0.6, 0.3, 0.25)``."""
+        from scipy.optimize import minimize
+
+        target = canonical_gate(0.6, 0.3, 0.25)
+        assert min_sqrt_iswap_count(target) == 2
+
+        def infidelity(params):
+            locals_ = [np.kron(u3(*p[:3]), u3(*p[3:])) for p in params.reshape(3, 6)]
+            built = locals_[2] @ standard.SQRT_ISWAP @ locals_[1] @ standard.SQRT_ISWAP @ locals_[0]
+            return 1.0 - abs(np.trace(target.conj().T @ built)) / 4.0
+
+        rng = np.random.default_rng(0)
+        best = min(
+            minimize(infidelity, rng.uniform(-np.pi, np.pi, 18), method="BFGS").fun
+            for _ in range(8)
+        )
+        assert best < 1e-7
 
     def test_min_gate_count_dispatch(self, rng):
         unitary = random_su4(rng)

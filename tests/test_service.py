@@ -541,7 +541,7 @@ class TestBatchedService:
         assert _sources(batched) == ["backend"] * 6
         assert stats["service"]["batched_passes"] >= 1
         assert stats["batch"] == 0
-        assert stats["array_backends"].get("numpy", {}).get("batched_passes", 0) >= 1
+        assert stats["batched_replay"]["batched_passes"] >= 1
         # The deterministic payload is unchanged by the execution strategy.
         assert _study_line(batched) == _study_line(sequential)
 
