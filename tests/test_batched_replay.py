@@ -199,6 +199,18 @@ class TestBatchCounters:
         reset_batched_replay_stats()
         assert batched_replay_stats() == {"batched_passes": 0, "batched_items": 0}
 
+    def test_stats_are_a_snapshot(self):
+        reset_batched_replay_stats()
+        stats = batched_replay_stats()
+        stats["batched_passes"] = 99
+        assert batched_replay_stats() == {"batched_passes": 0, "batched_items": 0}
+
+    def test_sequential_replay_is_not_counted(self):
+        reset_batched_replay_stats()
+        program = superop_program_for(test_superop.random_program(2, seed=5, noisy=True))
+        apply_superop_program(program, test_superop.random_density_matrix(2, seed=0))
+        assert batched_replay_stats() == {"batched_passes": 0, "batched_items": 0}
+
 
 class TestBackendBatch:
     def test_run_batch_matches_run_with_one_invocation(self):

@@ -108,6 +108,22 @@ class TestSimulatorCommands:
         # Every in-process cache reports its LRU bound alongside counters.
         assert "max_entries" in output
 
+    def test_cache_stats_reports_batched_replay(self, capsys, monkeypatch):
+        from repro.simulators.superop import reset_batched_replay_stats
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        reset_batched_replay_stats()
+        assert main(["cache", "stats"]) == 0
+        rows = [
+            [cell.strip() for cell in line.split("|")]
+            for line in capsys.readouterr().out.splitlines()
+            if "|" in line
+        ]
+        assert [row[1:] for row in rows if row[0] == "batched replay"] == [
+            ["batched_passes", "0"],
+            ["batched_items", "0"],
+        ]
+
     def test_cache_stats_with_cache_dir_reports_sim_counters(self, capsys, tmp_path):
         assert main(["cache", "stats", "--cache-dir", str(tmp_path / "cc")]) == 0
         output = capsys.readouterr().out

@@ -111,6 +111,20 @@ class TestWeylCoordinates:
         recovered = weyl_coordinates(canonical_gate(*coords))
         assert np.allclose(recovered, coords, atol=1e-3)
 
+    def test_returns_a_float_array(self):
+        coords = weyl_coordinates(standard.SWAP)
+        assert isinstance(coords, np.ndarray)
+        assert coords.shape == (3,) and coords.dtype == np.float64
+
+    def test_global_phase_and_local_dressing_leave_the_point(self, rng):
+        for _ in range(5):
+            target = random_su4(rng)
+            dressed = (
+                np.exp(1j * rng.uniform(-np.pi, np.pi))
+                * random_local(rng) @ target @ random_local(rng)
+            )
+            assert np.abs(weyl_coordinates(dressed) - weyl_coordinates(target)).max() < 1e-9
+
 
 def _pinned_inputs():
     inputs = {
@@ -314,6 +328,14 @@ class TestMinimalGateCounts:
         al., arXiv:2105.06074), a superset of the ``z = 0`` plane."""
         target = random_local(rng) @ canonical_gate(*point) @ random_local(rng)
         assert min_sqrt_iswap_count(target) == count
+
+    def test_sqrt_iswap_count_is_a_local_invariant(self, rng):
+        for point in [(QUARTER, 0.1, 0.1), (0.6, 0.3, -0.25), (0.5, 0.3, 0.25), (0.5, 0.5, 0.2)]:
+            gate = canonical_gate(*point)
+            count = min_sqrt_iswap_count(gate)
+            for _ in range(3):
+                dressed = random_local(rng) @ gate @ random_local(rng)
+                assert min_sqrt_iswap_count(dressed) == count, point
 
     def test_two_sqrt_iswap_layers_reach_the_region_off_the_plane(self):
         """Numerical witness: two sqrt(iSWAP) layers with optimised
