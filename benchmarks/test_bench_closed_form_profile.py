@@ -10,30 +10,26 @@ The calls are then answered twice from a cold profile cache:
 * **shipped** -- ``NuOpDecomposer.decompose_approximate`` as shipped,
   each instruction-set query's later gate types floored by the best
   ``F_d * F_h`` so far, as ``decompose_with_instruction_set`` does;
-* **reference** -- the profile loop that optimises every layer count on
-  one shared restart generator (a test-local copy), then Eq. 2 per type
-  and the per-type ``+1e-12`` selection over each query.  Like the
-  shipped profiles it does not optimise layers 2-3 of CZ- and
-  iSWAP-class gates: it records their known optimum (``|cos t_z|`` for
-  two layers, 1 for three) without parameters.
+* **reference** -- the profile loop that examines every layer count in
+  turn (a test-local copy): built where synthesis applies, advancing one
+  shared restart generator as the optimiser would, otherwise optimised
+  on it; then Eq. 2 per type and the per-type ``+1e-12`` selection over
+  each query.
 
 Recorded in the ``BENCH_17.json`` artifact when run with
 ``REPRO_BENCH_JSON=BENCH_17.json``: calls, queries, distinct profiles,
 objective evaluations and wall time of both paths, how many layer counts
-the shipped profiles optimised (directly, or after a query selected
-them), synthesised from KAK decompositions (also split by gate),
-answered in closed form (also split by form: no layer, one fixed layer,
-two supercontrolled layers, one FullXY layer, one FullfSim layer) or
-never examined, and how many gate types the floor pruned.  The asserts
-check that every decomposition the shipped path returns, and every
-query's winner, is byte-identical to the reference, except a
-synthesised one, whose label, layer count and ``F_h`` must be equal and
-``F_d`` within 1e-12 of the known optimum; that a pruned type would not
-have won its query; that the shipped path makes no more objective
-evaluations than the reference (it optimises a subset of the
+the shipped profiles optimised, built, left at their closed form (never
+selected) or never examined, the built and closed-form counts split by
+form (``none_L0``, ``fixed_L1``, ``cz_L2``, ``sqrt_iswap_L3``,
+``FullXY_L2`` ...), and how many gate types the floor pruned.  The
+asserts check that every decomposition the shipped path returns, and
+every query's winner, is byte-identical to the reference; that a pruned
+type would not have won its query; that the shipped path makes no more
+objective evaluations than the reference (it optimises a subset of the
 reference's counts from the same restart draws); and that no objective
-evaluation goes to layers 2-3 of a CZ- or iSWAP-class gate.  Wall times
-are recorded, never asserted.
+evaluation goes to a count synthesis answers.  Wall times are recorded,
+never asserted.
 """
 
 from __future__ import annotations
@@ -45,15 +41,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.applications.registry import build_suite
-from repro.core.decomposer import (
-    LayerSolution,
-    NuOpDecomposer,
-    TwoQubitDecomposition,
-    clear_profile_cache,
-    supercontrolled_kind,
-)
+from repro.core.decomposer import LayerSolution, NuOpDecomposer, clear_profile_cache
 from repro.core.instruction_sets import google_catalogue, rigetti_catalogue
 from repro.core.pipeline import compile_circuit
+from repro.core.synthesis import gate_kind, matrix_key, synthesise, synthesises
 from repro.core.templates import TemplateSpec
 from repro.devices.synthetic import synthetic_device
 from repro.gates.kak import weyl_coordinates
@@ -63,36 +54,41 @@ GOLDEN = (
 )
 
 
-def synthesis_kind(gate):
-    return None if gate is None else supercontrolled_kind(weyl_coordinates(gate.matrix))
+def points(target, gate):
+    return weyl_coordinates(target), None if gate is None else weyl_coordinates(gate.matrix)
 
 
-def synthesised(solution_layers, gate):
-    """Whether the shipped profile synthesises this count instead of optimising it."""
-    return solution_layers in (2, 3) and synthesis_kind(gate) is not None
+def form(num_layers, gate, family):
+    """Name of the construction that answers a synthesised count."""
+    if num_layers == 0:
+        return "none_L0"
+    if family is not None:
+        return {"xy": "FullXY", "fsim": "FullfSim"}[family] + f"_L{num_layers}"
+    kind = gate_kind(weyl_coordinates(gate.matrix)) if num_layers > 1 else "fixed"
+    return f"{kind}_L{num_layers}"
 
 
 def reference_profile(decomposer, target, gate, family, limit):
-    """The profile loop without closed forms: every count optimised in turn,
-    except supercontrolled layers 2-3, recorded at their known optimum."""
+    """The all-counts loop: every count in turn, built where synthesis
+    applies, otherwise optimised on one shared restart generator."""
     rng = np.random.default_rng(decomposer.seed)
-    t_z = weyl_coordinates(target)[2]
+    target_point, gate_point = points(target, gate)
     profile = []
     for num_layers in range(limit + 1):
-        if synthesised(num_layers, gate):
-            fidelity = abs(np.cos(t_z)) if num_layers == 2 else 1.0
-            profile.append(LayerSolution(num_layers, fidelity, None))
+        template = decomposer._make_template(num_layers, gate, family)
+        if synthesises(target_point, gate_point, family, num_layers):
+            fidelity, params = synthesise(target, template)
+            rng.random(decomposer._restart_draws(template, fidelity))
         else:
-            template = decomposer._make_template(num_layers, gate, family)
             fidelity, params, _ = decomposer._optimise_template(target, template, rng)
-            profile.append(LayerSolution(num_layers, fidelity, params))
+        profile.append(LayerSolution(num_layers, fidelity, params))
         if fidelity >= decomposer.exact_threshold:
             break
     return profile
 
 
 def reference_approximate(profile, gate_fidelity, single_qubit_fidelity):
-    """Eq. 2 over a fully optimised profile: ``(solution, F_h)``."""
+    """Eq. 2 over a fully examined profile: ``(solution, F_h)``."""
     best, best_overall, best_hardware = None, -np.inf, 1.0
     for solution in profile:
         hardware = gate_fidelity**solution.num_layers
@@ -139,41 +135,28 @@ def _record_study_calls(monkeypatch):
     return calls
 
 
-def closed_form_kind(num_layers, family):
-    """Which closed form of ``closed_form_fidelity`` answered a count."""
-    if num_layers == 0:
-        return "none"
-    if family is None:
-        return "fixed_L1" if num_layers == 1 else "supercontrolled_L2"
-    return {"xy": "FullXY_L1", "fsim": "FullfSim_L1"}[family]
-
-
 def assert_same_decomposition(got, want):
-    """Byte identity; for a synthesised count (``want`` carries no
-    parameters) label, layers and ``F_h`` exactly and ``F_d`` to 1e-12."""
     assert got.num_layers == want.num_layers
     assert got.gate_type_label == want.gate_type_label
     assert got.hardware_fidelity == want.hardware_fidelity
+    assert got.decomposition_fidelity == want.decomposition_fidelity
+    assert got.single_qubit_params.tobytes() == want.single_qubit_params.tobytes()
     for mine, theirs in zip(got.hardware_gates, want.hardware_gates):
         assert mine.matrix.tobytes() == theirs.matrix.tobytes()
-    if want.single_qubit_params is None:
-        assert abs(got.decomposition_fidelity - want.decomposition_fidelity) < 1e-12
-    else:
-        assert got.decomposition_fidelity == want.decomposition_fidelity
-        assert got.single_qubit_params.tobytes() == want.single_qubit_params.tobytes()
 
 
 def test_bench_closed_form_profile(monkeypatch, bench_json_record):
     calls = _record_study_calls(monkeypatch)
     decomposer = NuOpDecomposer()
     evaluations = [0]
-    evaluated_templates = set()
+    evaluated = set()
     objective = TemplateSpec.objective_with_gradient
 
     def counted(self, flat_params, target):
         evaluations[0] += 1
-        if self.fixed_gate_matrix is not None:
-            evaluated_templates.add((self.num_layers, self.fixed_gate_matrix.tobytes()))
+        gate = self.fixed_gate_matrix
+        gate_key = self.two_qubit_family if gate is None else gate.tobytes()
+        evaluated.add((matrix_key(target), gate_key, self.num_layers))
         return objective(self, flat_params, target)
 
     monkeypatch.setattr(TemplateSpec, "objective_with_gradient", counted)
@@ -195,39 +178,35 @@ def test_bench_closed_form_profile(monkeypatch, bench_json_record):
             winners[-1] = result
     shipped_s = time.perf_counter() - started
     shipped_evals = evaluations[0]
-    gates_by_bytes = {call[1].matrix.tobytes(): call[1] for call in calls if call[1] is not None}
-    synthesis_evaluated = sorted(
-        (gates_by_bytes[matrix].type_key, layers)
-        for layers, matrix in evaluated_templates
-        if synthesised(layers, gates_by_bytes[matrix])
-    )
 
     def profile_key(target, gate, family, layers):
         gate_key = gate.type_key if gate is not None else f"family:{family}"
         return (decomposer._target_cache_key(target), gate_key, layers)
 
     # The shipped profiles as the queries left them (cache hits, no evals).
-    optimised = skipped = 0
-    skipped_by_form = dict.fromkeys(
-        ("none", "fixed_L1", "supercontrolled_L2", "FullXY_L1", "FullfSim_L1"), 0
-    )
-    synthesised_by_gate = {}
+    optimised = 0
+    built_by_form, closed_by_form, evaluated_at_synthesis = {}, {}, []
     seen = set()
     for target, gate, family, _, _, layers, _, _ in calls:
         key = profile_key(target, gate, family, layers)
-        if key not in seen:
-            seen.add(key)
-            for solution in decomposer._cached_profile(target, gate, family, layers)[1].entries:
-                if synthesised(solution.num_layers, gate):
-                    synthesised_by_gate[gate.type_key] = synthesised_by_gate.get(gate.type_key, 0) + 1
-                    continue
-                optimised += solution.parameters is not None
-                if solution.parameters is None:
-                    skipped += 1
-                    skipped_by_form[closed_form_kind(solution.num_layers, family)] += 1
+        if key in seen:
+            continue
+        seen.add(key)
+        target_point, gate_point = points(target, gate)
+        gate_key = family if gate is None else np.asarray(gate.matrix, dtype=complex).tobytes()
+        for solution in decomposer._cached_profile(target, gate, family, layers)[1].entries:
+            count = solution.num_layers
+            if not synthesises(target_point, gate_point, family, count):
+                optimised += 1
+                continue
+            tally = built_by_form if solution.parameters is not None else closed_by_form
+            name = form(count, gate, family)
+            tally[name] = tally.get(name, 0) + 1
+            if (matrix_key(target), gate_key, count) in evaluated:
+                evaluated_at_synthesis.append(name)
     clear_profile_cache()
 
-    # Reference: every count of every type optimised, then Eq. 2 per type
+    # Reference: every count of every type examined, then Eq. 2 per type
     # and the per-type selection over each query.
     evaluations[0] = 0
     profiles = {}
@@ -239,12 +218,7 @@ def test_bench_closed_form_profile(monkeypatch, bench_json_record):
             limit = decomposer.max_layers if layers is None else layers
             profiles[key] = reference_profile(decomposer, target, gate, family, limit)
         chosen, hardware = reference_approximate(profiles[key], fh, f1q)
-        if chosen.parameters is None:  # synthesised in the shipped profile
-            want = TwoQubitDecomposition(
-                target, [gate] * chosen.num_layers, None, chosen.fidelity, hardware, label
-            )
-        else:
-            want = decomposer._build_decomposition(target, chosen, gate, family, hardware, label)
+        want = decomposer._build_decomposition(target, chosen, gate, family, hardware, label)
         if floor is None:
             expected_winners.append(None)
         expected.append(want)
@@ -263,24 +237,29 @@ def test_bench_closed_form_profile(monkeypatch, bench_json_record):
     for got, want in zip(winners, expected_winners):
         assert_same_decomposition(got, want)
     assert shipped_evals <= reference_evals
-    assert skipped_by_form["FullfSim_L1"] > 0
-    assert synthesised_by_gate  # the study's S3 and S4 sets reach layer 2
-    assert synthesis_evaluated == []
+    assert evaluated_at_synthesis == []
+    # The study builds one-layer FullfSim circuits, CZ/iSWAP layers 2-3
+    # and sqrt(iSWAP) layer 3.
+    assert built_by_form.get("FullfSim_L1", 0) > 0
+    assert built_by_form.get("cz_L2", 0) > 0
+    assert built_by_form.get("sqrt_iswap_L3", 0) > 0
 
     targets = {decomposer._target_cache_key(call[0]) for call in calls}
     reference_counts = sum(len(profile) for profile in profiles.values())
-    synthesised_counts = sum(synthesised_by_gate.values())
-    unexamined = reference_counts - optimised - synthesised_counts - skipped
+    built, closed = sum(built_by_form.values()), sum(closed_by_form.values())
+    unexamined = reference_counts - optimised - built - closed
     pruned = sum(result is None for result in shipped)
-    forms = ", ".join(f"{kind} {count}" for kind, count in skipped_by_form.items())
-    by_gate = ", ".join(f"{gate} {count}" for gate, count in sorted(synthesised_by_gate.items()))
+
+    def listing(tally):
+        return ", ".join(f"{name} {count}" for name, count in sorted(tally.items()))
+
     print(
         f"\nclosed-form profile: {len(calls)} calls in {len(winners)} queries, "
         f"{len(profiles)} profiles ({len(targets)} targets); "
         f"evals {reference_evals} -> {shipped_evals}, "
         f"wall {reference_s:.2f}s -> {shipped_s:.2f}s; "
-        f"{optimised} counts optimised, {synthesised_counts} synthesised ({by_gate}), "
-        f"{skipped} answered in closed form ({forms}), "
+        f"{optimised} counts optimised, {built} built ({listing(built_by_form)}), "
+        f"{closed} left at their closed form ({listing(closed_by_form)}), "
         f"{unexamined} never examined; {pruned} types pruned"
     )
     bench_json_record(
@@ -294,10 +273,10 @@ def test_bench_closed_form_profile(monkeypatch, bench_json_record):
         closed_form_s=round(shipped_s, 4),
         reference_counts=reference_counts,
         optimised_counts=optimised,
-        synthesised_counts=synthesised_counts,
-        synthesised_counts_by_gate=synthesised_by_gate,
-        closed_form_counts=skipped,
-        closed_form_counts_by_form=skipped_by_form,
+        built_counts=built,
+        built_counts_by_form=built_by_form,
+        closed_form_counts=closed,
+        closed_form_counts_by_form=closed_by_form,
         unexamined_counts=unexamined,
         pruned_types=pruned,
     )

@@ -1,9 +1,10 @@
 """One bounded LRU for every in-process cache tier, and the registry of them.
 
-Each process-wide memo of the library -- decomposer profiles, Weyl
-coordinates, compilations, autotuner verdicts, noise programs, ideal
-distributions, simulation results and calibration fingerprints -- is an
-:class:`LRUCache` made by :func:`register_cache`.  The registry is what
+Each process-wide memo of the library -- decomposer profiles, KAK
+decompositions (with their Weyl coordinates), compilations, autotuner
+verdicts, noise programs, ideal distributions, simulation results and
+calibration fingerprints -- is an :class:`LRUCache` made by
+:func:`register_cache`.  The registry is what
 ``clear_experiment_caches()``, ``repro cache stats`` and the daemon's
 ``/v1/stats`` iterate, so registering a tier is all it takes for it to
 be cleared and reported.

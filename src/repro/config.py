@@ -158,3 +158,18 @@ def flag_env(name: str, default: bool = False, *, stacklevel: int = 3) -> bool:
         stacklevel=stacklevel,
     )
     return default
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+"""Thread-count variables of the BLAS/OpenMP runtimes numpy may load."""
+
+
+def pin_blas_threads() -> None:
+    """Default every BLAS/OpenMP thread count the caller left unset to one.
+
+    Only takes effect before numpy is first imported, so ``python -m
+    repro`` calls it ahead of the CLI (see the "BLAS threads" note in
+    ``docs/engine.md``).
+    """
+    for name in BLAS_THREAD_VARIABLES:
+        os.environ.setdefault(name, "1")

@@ -46,8 +46,7 @@ from repro.compiler.manager import (
 )
 from repro.compiler.onequbit import merge_single_qubit_gates
 from repro.compiler.routing import RoutedCircuit
-from repro.core import decomposer as decomposer_module
-from repro.core import templates
+from repro.core import synthesis, templates
 from repro.core.decomposer import NuOpDecomposer
 from repro.core.instruction_sets import InstructionSet
 from repro.core.noise_adaptive import decompose_with_instruction_set
@@ -366,14 +365,14 @@ def _decomposer_fingerprint(decomposer: NuOpDecomposer) -> str:
     Feeds the compilation cache, tuner verdicts and the serve daemon's
     keys.  ``templates.OBJECTIVE_VERSION`` is folded in because a new
     objective may move optimiser trajectories in the last ulp, and
-    ``decomposer.SYNTHESIS_VERSION`` because a new synthesis moves the
+    ``synthesis.SYNTHESIS_VERSION`` because a new synthesis moves the
     layers it builds, so entries compiled under older revisions are
     orphaned rather than served.
     """
     return hash_scalars(
         "decomposer",
         templates.OBJECTIVE_VERSION,
-        decomposer_module.SYNTHESIS_VERSION,
+        synthesis.SYNTHESIS_VERSION,
         decomposer.max_layers,
         decomposer.restarts,
         decomposer.confirmation_restarts,

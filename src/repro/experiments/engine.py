@@ -154,11 +154,12 @@ def clear_experiment_caches(include_disk: bool = False) -> None:
     """Reset every in-process experiment cache.
 
     Empties every registered LRU tier (:mod:`repro.caching.lru`:
-    decomposer profiles and Weyl coordinates, compilations, autotuner
-    verdicts, noise programs, ideal distributions, simulation results,
-    calibration fingerprints) and the memoised noise-channel
-    constructors.  Used by determinism tests and benchmarks that need a
-    guaranteed cold start; production callers normally never need it.
+    decomposer profiles, KAK decompositions (with their Weyl points),
+    compilations, autotuner verdicts, noise programs, ideal
+    distributions, simulation results, calibration fingerprints) and the
+    memoised noise-channel constructors.  Used by determinism tests and
+    benchmarks that need a guaranteed cold start; production callers
+    normally never need it.
     ``include_disk`` additionally clears the configured persistent disk
     tier (when one is active); the default leaves it alone because the
     disk tier exists precisely to survive "cold starts" of new processes.

@@ -168,7 +168,17 @@ def weyl_coordinates(matrix: np.ndarray) -> np.ndarray:
     elif excess < 0:
         phases[:-excess] += np.pi
     x, y, z = phases[0] + phases[2], phases[1] + phases[2], phases[0] + phases[1]
-    point = np.array([x, y, z]) / 2.0
+    return chamber_point(np.array([x, y, z]) / 2.0)
+
+
+def chamber_point(point) -> np.ndarray:
+    """The chamber point of ``A(point)`` for any real ``point``.
+
+    ``pi/2`` shifts of single coordinates are local equivalences, so each
+    coordinate is first moved into ``[-pi/4, pi/4]``; :func:`_sort_into_chamber`
+    does the rest.
+    """
+    point = np.array(point, dtype=float)
     point -= np.pi / 2 * np.round(point / (np.pi / 2))
     return np.array(_sort_into_chamber(point))
 
@@ -345,14 +355,15 @@ def min_iswap_count(matrix: np.ndarray, atol: float = 1e-6) -> int:
 
     Two iSWAP applications with arbitrary interleaved single-qubit gates
     reach exactly the gates with vanishing third Weyl coordinate (``z = 0``,
-    read to 1e-4); everything else needs 3.
+    read to ``atol``: :func:`weyl_coordinates` is exact to rounding there);
+    everything else needs 3.
     """
     if is_locally_equivalent(matrix, np.eye(4), atol=atol):
         return 0
     if is_locally_equivalent(matrix, standard.ISWAP, atol=atol):
         return 1
     _, _, z = weyl_coordinates(matrix)
-    if abs(z) < 1e-4:
+    if abs(z) < atol:
         return 2
     return 3
 

@@ -80,6 +80,17 @@ from repro.simulators.noise_program import NoiseProgram
 # ---------------------------------------------------------------------------
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices as one broadcast outer product.
+
+    The same multiplies, so the same bytes, without ``np.kron``'s generic
+    n-dimensional set-up (~14 us against ~2.5 us on the 2x2 and 4x4
+    matrices lowering sees).
+    """
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
+
+
 def unitary_superoperator(matrix: np.ndarray) -> np.ndarray:
     """Superoperator of the conjugation ``rho -> U . rho . U^dagger``.
 
@@ -87,7 +98,7 @@ def unitary_superoperator(matrix: np.ndarray) -> np.ndarray:
     so the conjugation by ``U`` is ``U kron conj(U)``.
     """
     matrix = np.asarray(matrix, dtype=complex)
-    return np.kron(matrix, matrix.conj())
+    return _kron(matrix, matrix.conj())
 
 
 def kraus_to_superoperator(operators: Sequence[np.ndarray]) -> np.ndarray:
@@ -96,7 +107,7 @@ def kraus_to_superoperator(operators: Sequence[np.ndarray]) -> np.ndarray:
     dim = operators[0].shape[0]
     superop = np.zeros((dim * dim, dim * dim), dtype=complex)
     for op in operators:
-        superop += np.kron(op, op.conj())
+        superop += _kron(op, op.conj())
     return superop
 
 
@@ -142,7 +153,7 @@ def _embed_matrix(
     if j == num_qubits and positions == list(range(num_qubits)):
         return np.asarray(matrix, dtype=complex)
     rest = [p for p in range(num_qubits) if p not in positions]
-    full = np.kron(
+    full = _kron(
         np.asarray(matrix, dtype=complex), np.eye(2 ** (num_qubits - j), dtype=complex)
     )
     # `full` acts on qubit order positions + rest; permute axes back to 0..k-1.

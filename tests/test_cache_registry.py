@@ -29,7 +29,7 @@ MODULES = list(_repro_modules())
 
 TIERS = [
     "decomposer profiles",
-    "weyl coordinates",
+    "kak decompositions",
     "compilation (memory)",
     "autotuner verdicts",
     "noise programs",

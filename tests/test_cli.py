@@ -1,8 +1,14 @@
 """Tests for the command-line interface (fast subcommands only)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config import BLAS_THREAD_VARIABLES
 
 
 class TestParser:
@@ -203,3 +209,30 @@ class TestCheckCommand:
     def test_unknown_set_rejected(self):
         with pytest.raises(SystemExit):
             main(["check", "--circuits", "--device", "sycamore", "--sets", "NoSuchSet"])
+
+
+class TestEntryPoint:
+    """``python -m repro`` pins BLAS threads to one unless the caller chose."""
+
+    PINNED = BLAS_THREAD_VARIABLES
+    PROBE = (
+        "import os, runpy; "
+        "runpy.run_module('repro', run_name='probe'); "
+        "print(' '.join(os.environ.get(name, '-') for name in {names!r}))"
+    )
+
+    def run_probe(self, **overrides):
+        env = {key: value for key, value in os.environ.items() if key not in self.PINNED}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        env.update(overrides)
+        result = subprocess.run(
+            [sys.executable, "-c", self.PROBE.format(names=self.PINNED)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        return result.stdout.strip()
+
+    def test_threads_default_to_one(self):
+        assert self.run_probe() == "1 1 1"
+
+    def test_caller_setting_wins(self):
+        assert self.run_probe(OPENBLAS_NUM_THREADS="2") == "2 1 1"

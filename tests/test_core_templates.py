@@ -162,11 +162,9 @@ class TestObjectiveVersion:
         assert _decomposer_fingerprint(decomposer) != fingerprint
 
     def test_synthesis_version_orphans_compile_keys(self, monkeypatch):
-        from repro.core import decomposer as decomposer_module
+        from repro.core import synthesis
 
         decomposer = NuOpDecomposer()
         fingerprint = _decomposer_fingerprint(decomposer)
-        monkeypatch.setattr(
-            decomposer_module, "SYNTHESIS_VERSION", decomposer_module.SYNTHESIS_VERSION + 1
-        )
+        monkeypatch.setattr(synthesis, "SYNTHESIS_VERSION", synthesis.SYNTHESIS_VERSION + 1)
         assert _decomposer_fingerprint(decomposer) != fingerprint

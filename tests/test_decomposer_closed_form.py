@@ -1,51 +1,61 @@
-"""Closed-form ``F_d`` of sub-exact NuOp layer counts.
+"""Closed forms and built circuits of NuOp layer counts.
 
-Contracts under test (:mod:`repro.core.decomposer`):
+Contracts under test (:mod:`repro.core.synthesis`, :mod:`repro.core.decomposer`):
 
 * **soundness** -- on 100 Haar targets per catalogue gate type (the 12
   distinct Table II matrices), FullXY and FullfSim, every closed form is
-  at least the default optimiser's value minus 1e-9, so a skipped count
-  never under-reports to Eq. 2, and every synthesised supercontrolled
-  count (layers 2-3 of CZ- and iSWAP-class gates) is too;
-* **synthesis** -- two synthesised layers give ``F_d = |cos t_z|`` to
-  1e-12 and three rebuild the target to 1e-10, near-exact targets
-  included;
+  at least the default optimiser's value minus 1e-9, and so is every
+  built deeper count; one layer of a gate that is not its own mirror
+  image has no closed form;
+* **synthesis** -- the circuit built for a closed-form count has that
+  ``F_d`` to 1e-12; two CZ/iSWAP-class layers give ``|cos t_z|`` and
+  three rebuild the target to 1e-10; the two-sqrt(iSWAP) middle hits
+  points of ``x >= y + |z|`` to 1e-8; three sqrt(iSWAP)-class layers
+  (fixed, FullXY, FullfSim) and two FullXY / FullfSim layers inside the
+  region reach ``F_d >= 1 - 1e-10``;
 * **reachability** -- on 10 targets per type a 60-restart optimiser
-  reaches every closed form to 1e-8, so it is the optimum, not merely a
-  bound; one ``xy(2pi/3)`` target and one FullfSim target where the
-  default optimiser sits in a local minimum are pinned;
-* **skip rules** -- counts whose closed-form infidelity is ~1e-3 (the
-  near-miss band) or ~1e-7 (near exact) go through the optimiser;
-* **bit identity** -- every count the profile optimises, directly or
-  after a query selects it, carries the parameters and ``F_d`` of the
-  reference loop below (every count optimised on one shared generator,
-  supercontrolled layers 2-3 synthesised),
-  and ``decompose_approximate`` / ``decompose_exact`` return the
-  reference decompositions byte for byte;
-* **cache bookkeeping** -- optimising a selected count writes the LRU
+  reaches every closed form to 1e-8; where the default optimiser sits in
+  a local minimum (one ``xy(2pi/3)`` and one FullfSim target), a query
+  now gets the closed form's circuit;
+* **near-exact counts** -- counts whose closed-form infidelity is ~1e-3
+  (the near-miss band) or ~1e-7 (near exact) are built at once and
+  advance the generator as the optimiser would;
+* **bit identity** -- profiles and ``decompose_approximate`` /
+  ``decompose_exact`` match the reference loop below (every count in
+  turn: built where synthesis applies, otherwise optimised on one shared
+  generator) byte for byte;
+* **cache bookkeeping** -- building a selected count writes the LRU
   without counting a hit or miss, and ``clear_profile_cache`` empties
-  the Weyl-coordinate memo.
+  the KAK memo.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from repro.core import decomposer as decomposer_module
+from repro.circuits.gate import fsim_gate
+from repro.core import synthesis as synthesis_module
 from repro.core.decomposer import (
     LayerSolution,
     NuOpDecomposer,
     clear_profile_cache,
-    closed_form_fidelity,
     profile_cache_stats,
-    supercontrolled_kind,
-    synthesise_supercontrolled,
 )
 from repro.core.gate_types import all_google_types, google_gate_type, rigetti_gate_type
+from repro.core.synthesis import (
+    closed_form_fidelity,
+    gate_kind,
+    in_sqrt_iswap_region,
+    synthesise,
+    synthesises,
+)
+from repro.core.templates import continuous_family_template, fixed_gate_template
 from repro.experiments.engine import clear_experiment_caches
-from repro.gates.kak import weyl_coordinates
+from repro.gates.kak import canonical_unitary, weyl_coordinates
 from repro.gates.parametric import canonical_gate, cphase, fsim, rzz, xy
 from repro.gates.unitary import random_su4, random_unitary
 
@@ -56,24 +66,31 @@ CATALOGUE_GATES = [gate_type.gate for gate_type in all_google_types().values()] 
 
 TYPES = [(gate, None) for gate in CATALOGUE_GATES] + [(None, "xy"), (None, "fsim")]
 TYPE_IDS = [gate.type_key for gate in CATALOGUE_GATES] + ["FullXY", "FullfSim"]
-SUPERCONTROLLED = {"cz", "fsim(1.570796,0.000000)", "xy(3.141593)"}
+SQRT_ISWAP_TYPES = {
+    "S2": (google_gate_type("S2").gate, None),
+    "rigetti-S2": (rigetti_gate_type("S2").gate, None),
+    "FullXY": (None, "xy"),
+    "FullfSim": (None, "fsim"),
+}
 
 
-def synthesis_kind(gate):
-    return None if gate is None else supercontrolled_kind(weyl_coordinates(gate.matrix))
+def gate_point(gate):
+    return None if gate is None else weyl_coordinates(gate.matrix)
 
 
 def reference_profile(decomposer, target, gate, family, limit):
-    """The profile loop without closed forms: every count optimised in turn,
-    except supercontrolled layers 2-3, which are synthesised."""
+    """The all-counts loop: every count in turn, built where synthesis
+    applies (advancing the shared generator as the optimiser would for
+    that value), otherwise optimised on that generator."""
     rng = np.random.default_rng(decomposer.seed)
-    kind = synthesis_kind(gate)
+    target_point, point = weyl_coordinates(target), gate_point(gate)
     profile = []
     for num_layers in range(limit + 1):
-        if kind is not None and num_layers in (2, 3):
-            fidelity, params = synthesise_supercontrolled(target, gate.matrix, kind, num_layers)
+        template = decomposer._make_template(num_layers, gate, family)
+        if synthesises(target_point, point, family, num_layers):
+            fidelity, params = synthesise(target, template)
+            rng.random(decomposer._restart_draws(template, fidelity))
         else:
-            template = decomposer._make_template(num_layers, gate, family)
             fidelity, params, _ = decomposer._optimise_template(target, template, rng)
         profile.append(LayerSolution(num_layers, fidelity, params))
         if fidelity >= decomposer.exact_threshold:
@@ -82,7 +99,7 @@ def reference_profile(decomposer, target, gate, family, limit):
 
 
 def reference_approximate(profile, gate_fidelity, single_qubit_fidelity=1.0):
-    """Eq. 2 over a fully optimised profile: ``(solution, F_h)``."""
+    """Eq. 2 over a fully examined profile: ``(solution, F_h)``."""
     best, best_overall, best_hardware = None, -np.inf, 1.0
     for solution in profile:
         hardware = gate_fidelity**solution.num_layers
@@ -117,6 +134,12 @@ def dressed(point, seed):
     return local() @ canonical_gate(*point) @ local()
 
 
+def template_for(gate, family, num_layers):
+    if family is not None:
+        return continuous_family_template(num_layers, family)
+    return fixed_gate_template(num_layers, gate.matrix)
+
+
 def default_optimum(decomposer, target, gate, family, num_layers):
     template = decomposer._make_template(num_layers, gate, family)
     fidelity, _, _ = decomposer._optimise_template(
@@ -125,15 +148,38 @@ def default_optimum(decomposer, target, gate, family, num_layers):
     return fidelity
 
 
-def gate_point(gate):
-    return None if gate is None else weyl_coordinates(gate.matrix)
+def built_counts(gate, family):
+    """Layer counts beyond one that this type builds for every target."""
+    kind = "sqrt_iswap" if family is not None else gate_kind(gate_point(gate))
+    return {"cz": (2, 3), "iswap": (2, 3), "sqrt_iswap": (3,)}.get(kind, ())
 
 
-def closed_form_counts(gate, family):
-    """Layer counts with a closed form for this type, beyond layer 0."""
-    if family is not None or gate.type_key not in SUPERCONTROLLED:
-        return (1,)
-    return (1, 2)
+def rebuild_error(unitary, target):
+    """Largest entry of ``unitary - target`` after removing the global phase."""
+    overlap = np.vdot(unitary, target)
+    return float(np.abs(unitary * (overlap / abs(overlap)) - target).max())
+
+
+FACE_POINTS = [
+    (0.0, 0.0, 0.0),
+    (np.pi / 4, 0.0, 0.0),
+    (np.pi / 4, np.pi / 4, 0.0),
+    (np.pi / 4, np.pi / 4, np.pi / 4),
+    (np.pi / 8, np.pi / 8, 0.0),
+    (np.pi / 4, np.pi / 4, np.pi / 24),
+    (0.4, 0.0, 0.0),
+    (0.5, 0.3, -0.3),
+    (np.pi / 4, 0.3, 0.1),
+    (0.5, 0.3, 0.2),
+    (1e-6, 0.0, 0.0),
+]
+"""Chamber faces and edges: identity, CZ, iSWAP, SWAP, sqrt(iSWAP), SYC and others."""
+
+STRUCTURED_TARGETS = {
+    "cphase": cphase(0.7),
+    "rzz": rzz(0.4),
+    "fsim": fsim(0.9, 0.3),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -159,31 +205,27 @@ class TestSoundness:
         point = gate_point(gate)
         worst = np.inf
         for target in haar_targets(100, seed=101):
-            target_point = weyl_coordinates(target)
-            for num_layers in closed_form_counts(gate, family):
-                bound = closed_form_fidelity(target_point, point, family, num_layers)
-                optimum = default_optimum(decomposer, target, gate, family, num_layers)
-                worst = min(worst, bound - optimum)
+            bound = closed_form_fidelity(weyl_coordinates(target), point, family, 1)
+            optimum = default_optimum(decomposer, target, gate, family, 1)
+            worst = min(worst, bound - optimum)
         assert worst >= -1e-9
 
-    @pytest.mark.parametrize("label", ["S3", "S4"])
-    def test_synthesis_is_at_least_the_optimiser(self, label):
-        gate = google_gate_type(label).gate
-        kind = synthesis_kind(gate)
+    @pytest.mark.parametrize("name", ["S3", "S4", "S2", "FullXY"])
+    def test_built_counts_are_at_least_the_optimiser(self, name):
+        gate, family = (None, "xy") if name == "FullXY" else (google_gate_type(name).gate, None)
         decomposer = NuOpDecomposer()
         worst = np.inf
         for target in haar_targets(40, seed=104):
-            for num_layers in (2, 3):
-                synthesised, _ = synthesise_supercontrolled(target, gate.matrix, kind, num_layers)
-                optimum = default_optimum(decomposer, target, gate, None, num_layers)
-                worst = min(worst, synthesised - optimum)
+            for num_layers in built_counts(gate, family):
+                built, _ = synthesise(target, template_for(gate, family, num_layers))
+                optimum = default_optimum(decomposer, target, gate, family, num_layers)
+                worst = min(worst, built - optimum)
         assert worst >= -1e-9
 
-    def test_continuous_families_have_one_layer_closed_forms_only(self):
+    def test_deeper_counts_have_no_closed_form(self):
         point = weyl_coordinates(haar_targets(1, seed=3)[0])
-        assert closed_form_fidelity(point, None, "fsim", 1) is not None
-        assert closed_form_fidelity(point, None, "fsim", 2) is None
-        assert closed_form_fidelity(point, None, "xy", 2) is None
+        for gate, family in TYPES:
+            assert closed_form_fidelity(point, gate_point(gate), family, 2) is None
 
     def test_one_layer_reaches_every_class_of_its_family(self):
         for theta, phi in np.random.default_rng(8).uniform(-np.pi, np.pi, (20, 2)):
@@ -191,6 +233,26 @@ class TestSoundness:
             xy_point = weyl_coordinates(xy(theta))
             assert closed_form_fidelity(fsim_point, None, "fsim", 1) == pytest.approx(1.0, abs=1e-12)
             assert closed_form_fidelity(xy_point, None, "xy", 1) == pytest.approx(1.0, abs=1e-12)
+
+    def test_mirror_asymmetric_gate_has_no_one_layer_form(self):
+        """``fsim(0.9, 0.5)`` sits at ``(0.45, 0.45, -0.125)``, off both faces
+        where a point equals its mirror image.  The 8-sign maximum would
+        credit it with its mirror's reach (0.983 on this target, where 20
+        restarts find 0.933), so one layer is optimised, not built."""
+        gate = fsim_gate(0.9, 0.5)
+        point = gate_point(gate)
+        target = haar_targets(2, seed=107)[1]
+        target_point = weyl_coordinates(target)
+        assert closed_form_fidelity(target_point, point, None, 1) is None
+        assert not synthesises(target_point, point, None, 1)
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+        every_sign = max(
+            abs(np.trace(canonical_unitary(target_point - s * point))) / 4 for s in signs
+        )
+        template = fixed_gate_template(1, gate.matrix)
+        assert many_restart_optimum(template, target, every_sign, restarts=20) < every_sign - 0.04
+        profile = NuOpDecomposer(max_layers=1).fidelity_profile(target, gate=gate)
+        assert profile[1].parameters is not None
 
 
 def many_restart_optimum(template, target, goal, restarts=60, seed=11):
@@ -218,187 +280,194 @@ class TestReachability:
         point = gate_point(gate)
         for target in haar_targets(10, seed=102):
             target_point = weyl_coordinates(target)
-            for num_layers in (0,) + closed_form_counts(gate, family):
+            for num_layers in (0, 1):
                 bound = closed_form_fidelity(target_point, point, family, num_layers)
                 template = decomposer._make_template(num_layers, gate, family)
                 assert many_restart_optimum(template, target, bound - 1e-8) >= bound - 1e-8
 
-    def test_xy_two_thirds_pi_local_minimum(self):
-        """The default optimiser stops 0.19 short of the one-layer optimum here.
-
-        The closed form is the optimum (60 restarts reach it), the profile
-        records it for the skipped count, and a query that selects the
-        count optimises it: the stuck value replaces the closed form, Eq. 2
-        runs again, and the result is the reference decomposition.
-        """
-        gate = rigetti_gate_type("S5").gate
-        target = random_su4(np.random.default_rng(24))
+    def check_local_minimum(self, target, gate, family, bound, stuck_by, gate_fidelity):
+        """The default optimiser stops ``stuck_by`` short of the one-layer
+        closed form; a query selecting that count gets the built circuit,
+        with ``F_d`` the closed form, and the reference decomposition."""
         decomposer = NuOpDecomposer()
-        reference = reference_profile(decomposer, target, gate, None, decomposer.max_layers)
-        profile = decomposer.fidelity_profile(target, gate=gate)
-        bound = profile[1].fidelity
+        profile = decomposer.fidelity_profile(target, gate=gate, family=family)
         assert profile[1].parameters is None
-        assert bound == pytest.approx(0.9710691620301352, abs=1e-12)
-        assert bound - reference[1].fidelity > 0.1
-        template = decomposer._make_template(1, gate, None)
+        assert profile[1].fidelity == pytest.approx(bound, abs=1e-12)
+        template = decomposer._make_template(1, gate, family)
+        rng = np.random.default_rng(decomposer.seed)
+        rng.random(profile[1].rng_offset)  # where the optimiser would start
+        stuck, _, _ = decomposer._optimise_template(target, template, rng)
+        assert bound - stuck > stuck_by
         assert many_restart_optimum(template, target, bound - 1e-8) >= bound - 1e-8
 
-        gate_fidelity = 0.95
+        reference = reference_profile(decomposer, target, gate, family, decomposer.max_layers)
         chosen, hardware = reference_approximate(reference, gate_fidelity)
-        assert chosen.num_layers != 1
-        result = decomposer.decompose_approximate(target, gate=gate, gate_fidelity=gate_fidelity)
-        want = decomposer._build_decomposition(target, chosen, gate, None, hardware, None)
+        assert chosen.num_layers == 1
+        result = decomposer.decompose_approximate(
+            target, gate=gate, family=family, gate_fidelity=gate_fidelity
+        )
+        want = decomposer._build_decomposition(target, chosen, gate, family, hardware, None)
         assert_same_decomposition(result, want)
-        updated = decomposer.fidelity_profile(target, gate=gate)
-        assert updated[1].fidelity == reference[1].fidelity
-        assert updated[1].parameters.tobytes() == reference[1].parameters.tobytes()
+        assert abs(result.decomposition_fidelity - bound) < 1e-12
+        assert abs(result.verify() - bound) < 1e-12
+
+    def test_xy_two_thirds_pi_local_minimum(self):
+        target = random_su4(np.random.default_rng(24))
+        gate = rigetti_gate_type("S5").gate
+        self.check_local_minimum(target, gate, None, 0.9710691620301352, 0.1, 0.95)
 
     def test_fsim_local_minimum(self):
-        """The default optimiser stops 0.047 short of the one-layer optimum here.
-
-        As for ``xy(2pi/3)`` above: the profile records the closed form,
-        60 restarts reach it, and a query that selects the count gets the
-        reference decomposition.
-        """
         target = random_su4(np.random.default_rng(28))
-        decomposer = NuOpDecomposer()
-        reference = reference_profile(decomposer, target, None, "fsim", decomposer.max_layers)
-        profile = decomposer.fidelity_profile(target, family="fsim")
-        bound = profile[1].fidelity
-        assert profile[1].parameters is None
-        assert bound == pytest.approx(0.9892274102077399, abs=1e-12)
-        assert bound - reference[1].fidelity > 0.04
-        template = decomposer._make_template(1, None, "fsim")
-        assert many_restart_optimum(template, target, bound - 1e-8) >= bound - 1e-8
-
-        chosen_counts = set()
-        for gate_fidelity in GATE_FIDELITIES:
-            chosen, hardware = reference_approximate(reference, gate_fidelity)
-            chosen_counts.add(chosen.num_layers)
-            result = decomposer.decompose_approximate(
-                target, family="fsim", gate_fidelity=gate_fidelity
-            )
-            want = decomposer._build_decomposition(target, chosen, None, "fsim", hardware, None)
-            assert_same_decomposition(result, want)
-        assert 1 in chosen_counts  # some query selected the closed-form count
-        updated = decomposer.fidelity_profile(target, family="fsim")
-        assert updated[1].fidelity == reference[1].fidelity
-        assert updated[1].parameters.tobytes() == reference[1].parameters.tobytes()
+        self.check_local_minimum(target, None, "fsim", 0.9892274102077399, 0.04, 0.97)
 
 
-class TestSkipRules:
+class TestNearExactCounts:
     @pytest.mark.parametrize("infidelity", [1e-3, 1e-7])
-    @pytest.mark.parametrize("label, num_layers", [("S3", 1)])
-    def test_near_exact_counts_are_optimised(self, label, num_layers, infidelity):
-        gate = google_gate_type(label).gate
+    def test_near_exact_one_layer_is_built(self, infidelity):
+        gate = google_gate_type("S3").gate
         angle = float(np.arccos(1.0 - infidelity))
         # One CZ layer reaches (pi/4, angle, 0) to cos(angle).
-        point = (np.pi / 4, angle, 0.0)
-        target = dressed(point, seed=5)
-        bound = closed_form_fidelity(
-            weyl_coordinates(target), gate_point(gate), None, num_layers
-        )
+        target = dressed((np.pi / 4, angle, 0.0), seed=5)
+        bound = closed_form_fidelity(weyl_coordinates(target), gate_point(gate), None, 1)
         assert 1.0 - bound == pytest.approx(infidelity, rel=1e-6)
         decomposer = NuOpDecomposer()
         profile = decomposer.fidelity_profile(target, gate=gate)
         reference = reference_profile(decomposer, target, gate, None, decomposer.max_layers)
-        assert profile[0].parameters is None  # far from exact: closed form
-        assert profile[num_layers].parameters is not None
-        assert len(profile) == len(reference)
-        for mine, theirs in zip(profile, reference):
-            if mine.parameters is not None:
-                assert mine.fidelity == theirs.fidelity
-                assert mine.parameters.tobytes() == theirs.parameters.tobytes()
-
-
-def rebuild_error(unitary, target):
-    """Largest entry of ``unitary - target`` after removing the global phase."""
-    overlap = np.vdot(unitary, target)
-    return float(np.abs(unitary * (overlap / abs(overlap)) - target).max())
+        assert profile[0].parameters is None  # far from exact: closed form only
+        assert profile[1].parameters is not None
+        assert abs(profile[1].fidelity - bound) < 1e-12
+        # Two CZ layers reach (pi/4, angle, 0) exactly.
+        assert len(profile) == len(reference) == (2 if infidelity < 1e-6 else 3)
+        if infidelity > 1e-6:
+            # A near miss: random starts plus confirmation restarts.
+            starts = 1 + decomposer.confirmation_restarts
+            assert profile[2].rng_offset - profile[1].rng_offset == starts * 12
+        for mine, theirs in zip(profile[1:], reference[1:]):
+            assert mine.fidelity == theirs.fidelity
+            assert mine.parameters.tobytes() == theirs.parameters.tobytes()
 
 
 class TestSynthesis:
-    """Layers 2-3 of CZ- and iSWAP-class gates, built from KAK decompositions."""
-
     GATES = {
         "S3": google_gate_type("S3").gate,
         "S4": google_gate_type("S4").gate,
         "rigetti-S4": rigetti_gate_type("S4").gate,
     }
 
+    @pytest.mark.parametrize("gate, family", TYPES, ids=TYPE_IDS)
+    def test_closed_form_counts_reach_their_closed_form(self, gate, family):
+        point = gate_point(gate)
+        targets = haar_targets(30, seed=108) + list(STRUCTURED_TARGETS.values())
+        targets += [dressed(p, seed=7) for p in FACE_POINTS]
+        for target in targets:
+            target_point = weyl_coordinates(target)
+            for num_layers in (0, 1):
+                template = template_for(gate, family, num_layers)
+                fidelity, params = synthesise(target, template)
+                bound = closed_form_fidelity(target_point, point, family, num_layers)
+                assert abs(fidelity - bound) < 1e-12
+                assert abs(abs(np.vdot(template.unitary(params), target)) / 4 - bound) < 1e-12
+
     @pytest.mark.parametrize("name", list(GATES))
     def test_two_layers_drop_tz_and_three_are_exact(self, name):
         gate = self.GATES[name]
-        kind = synthesis_kind(gate)
-        assert kind in ("cz", "iswap")
-        decomposer = NuOpDecomposer()
+        assert gate_kind(gate_point(gate)) in ("cz", "iswap")
         targets = haar_targets(100, seed=105) + list(STRUCTURED_TARGETS.values())
         targets += [dressed(point, seed=6) for point in FACE_POINTS]
         for target in targets:
             t_z = weyl_coordinates(target)[2]
-            fidelity, params = synthesise_supercontrolled(target, gate.matrix, kind, 2)
+            template = fixed_gate_template(2, gate.matrix)
+            fidelity, params = synthesise(target, template)
             assert abs(fidelity - abs(np.cos(t_z))) < 1e-12
-            template = decomposer._make_template(2, gate, None)
             assert abs(abs(np.vdot(template.unitary(params), target)) / 4 - fidelity) < 1e-15
-            fidelity, params = synthesise_supercontrolled(target, gate.matrix, kind, 3)
-            unitary = decomposer._make_template(3, gate, None).unitary(params)
-            assert rebuild_error(unitary, target) < 1e-10
-            assert fidelity >= decomposer.exact_threshold
+            template = fixed_gate_template(3, gate.matrix)
+            fidelity, params = synthesise(target, template)
+            assert rebuild_error(template.unitary(params), target) < 1e-10
+            assert fidelity >= 1.0 - 1e-12
+
+    def test_two_sqrt_iswap_middle_hits_region_points(self):
+        square_root = canonical_unitary((np.pi / 8, np.pi / 8, 0.0))
+        rng = np.random.default_rng(109)
+        points = list(FACE_POINTS)
+        while len(points) < 1000:
+            x = rng.uniform(0, np.pi / 4) * rng.choice([1.0, 1e-3, 1e-6])
+            y = rng.uniform(0, x)
+            z = rng.uniform(-y, y)
+            points.append((x, y, z))
+        points = [p for p in points if in_sqrt_iswap_region(p) and p[1] >= abs(p[2])]
+        points = [p for p in points if not (p[0] == np.pi / 4 and p[2] < 0)]
+        assert len(points) > 500
+        for point in points:
+            first, second = synthesis_module._sqrt_iswap_middle(np.array(point))
+            product = square_root @ np.kron(first, second) @ square_root
+            assert np.abs(weyl_coordinates(product) - point).max() < 1e-8, point
+
+    @pytest.mark.parametrize("name", list(SQRT_ISWAP_TYPES))
+    def test_three_sqrt_iswap_layers_are_exact(self, name):
+        gate, family = SQRT_ISWAP_TYPES[name]
+        template = template_for(gate, family, 3)
+        targets = haar_targets(100, seed=110) + list(STRUCTURED_TARGETS.values())
+        targets += [dressed(point, seed=8) for point in FACE_POINTS]
+        for target in targets:
+            assert synthesises(weyl_coordinates(target), gate_point(gate), family, 3)
+            fidelity, params = synthesise(target, template)
+            assert fidelity >= 1.0 - 1e-10
+            assert rebuild_error(template.unitary(params), target) < 1e-7
+
+    @pytest.mark.parametrize("family", ["xy", "fsim"])
+    def test_two_family_layers_inside_the_region_are_exact(self, family):
+        """Haar targets outside the region are moved in by halving ``y`` and ``z``."""
+        template = continuous_family_template(2, family)
+        for index, target in enumerate(haar_targets(100, seed=112)):
+            point = weyl_coordinates(target)
+            assert synthesises(point, None, family, 2) == in_sqrt_iswap_region(point)
+            if not in_sqrt_iswap_region(point):
+                target = dressed((point[0], point[1] / 2, point[2] / 2), seed=index)
+            fidelity, _ = synthesise(target, template)
+            assert fidelity >= 1.0 - 1e-10
 
     @pytest.mark.parametrize("infidelity", [1e-3, 1e-7])
     @pytest.mark.parametrize("label", ["S3", "S4"])
-    def test_near_exact_layer_two_is_synthesised(self, label, infidelity):
+    def test_near_exact_layer_two_is_built(self, label, infidelity):
         # Two layers of a supercontrolled gate reach (x, y, angle) to cos(angle).
         gate = google_gate_type(label).gate
         angle = float(np.arccos(1.0 - infidelity))
         target = dressed((0.6, 0.4, angle), seed=5)
         decomposer = NuOpDecomposer()
         profile = decomposer.fidelity_profile(target, gate=gate)
-        assert profile[0].parameters is None  # far from exact: closed form
+        assert profile[0].parameters is None  # far from exact: closed form only
         assert 1.0 - profile[2].fidelity == pytest.approx(infidelity, rel=1e-6)
         # 1e-7 is within the exact threshold, so the profile stops at two layers.
         exact_at = 2 if infidelity < 1.0 - decomposer.exact_threshold else 3
         assert len(profile) == exact_at + 1
         assert profile[-1].fidelity >= decomposer.exact_threshold
 
-    def test_synthesised_counts_draw_and_evaluate_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("label", ["S3", "S2"])
+    def test_built_profiles_evaluate_nothing(self, monkeypatch, label):
+        """CZ profiles are built throughout; sqrt(iSWAP) optimises layer 2 only."""
         from repro.core.templates import TemplateSpec
 
-        layers_evaluated = []
+        layers_evaluated = set()
         objective = TemplateSpec.objective_with_gradient
 
         def counted(self, flat_params, target):
-            layers_evaluated.append(self.num_layers)
+            layers_evaluated.add(self.num_layers)
             return objective(self, flat_params, target)
 
         monkeypatch.setattr(TemplateSpec, "objective_with_gradient", counted)
-        gate = google_gate_type("S3").gate
+        gate = google_gate_type(label).gate
         target = haar_targets(1, seed=106)[0]
-        profile = NuOpDecomposer().fidelity_profile(target, gate=gate)
+        decomposer = NuOpDecomposer()
+        profile = decomposer.fidelity_profile(target, gate=gate)
         assert [entry.num_layers for entry in profile] == [0, 1, 2, 3]
-        assert max(layers_evaluated, default=0) <= 1
-        assert profile[3].rng_offset == profile[2].rng_offset
+        assert layers_evaluated == (set() if label == "S3" else {2})
+        for below, entry in zip(profile, profile[1:]):
+            template = decomposer._make_template(below.num_layers, gate, None)
+            draws = entry.rng_offset - below.rng_offset
+            if below.num_layers != 2 or label == "S3":
+                assert draws == decomposer._restart_draws(template, below.fidelity)
 
 
-FACE_POINTS = [
-    (0.0, 0.0, 0.0),
-    (np.pi / 4, 0.0, 0.0),
-    (np.pi / 4, np.pi / 4, 0.0),
-    (np.pi / 4, np.pi / 4, np.pi / 4),
-    (np.pi / 8, np.pi / 8, 0.0),
-    (np.pi / 4, np.pi / 4, np.pi / 24),
-    (0.4, 0.0, 0.0),
-    (0.5, 0.3, -0.3),
-    (np.pi / 4, 0.3, 0.1),
-]
-"""Chamber faces and edges: identity, CZ, iSWAP, SWAP, sqrt(iSWAP), SYC and others."""
-
-
-STRUCTURED_TARGETS = {
-    "cphase": cphase(0.7),
-    "rzz": rzz(0.4),
-    "fsim": fsim(0.9, 0.3),
-}
 BIT_IDENTITY_TARGETS = dict(
     STRUCTURED_TARGETS, **{f"haar{i}": t for i, t in enumerate(haar_targets(2, seed=103))}
 )
@@ -415,8 +484,8 @@ class TestBitIdentity:
             profile = decomposer.fidelity_profile(target, gate=gate, family=family)
             assert len(profile) == len(reference), name
             for mine, theirs in zip(profile, reference):
-                if mine.parameters is None:
-                    assert mine.fidelity >= theirs.fidelity - 1e-9, name
+                if mine.parameters is None:  # closed form, built on selection
+                    assert abs(mine.fidelity - theirs.fidelity) < 1e-12, name
                 else:
                     assert mine.fidelity == theirs.fidelity, name
                     assert mine.parameters.tobytes() == theirs.parameters.tobytes(), name
@@ -455,31 +524,31 @@ class TestCacheBookkeeping:
         assert profile[1].parameters is not None
         assert profile_cache_stats()["hits"] == after["hits"] + 1
 
-    def test_clear_profile_cache_empties_the_coordinate_memo(self):
+    def test_clear_profile_cache_empties_the_kak_memo(self):
         decomposer = NuOpDecomposer(max_layers=1)
-        decomposer.fidelity_profile(haar_targets(1, seed=4)[0], gate=CATALOGUE_GATES[0])
-        assert len(decomposer_module._COORDINATE_CACHE) == 2  # target and gate
+        target = haar_targets(1, seed=4)[0]
+        decomposer.decompose_exact(target, gate=CATALOGUE_GATES[0])
+        assert len(synthesis_module._KAK_CACHE) == 3  # target, gate and image
         clear_profile_cache()
-        assert len(decomposer_module._COORDINATE_CACHE) == 0
+        assert len(synthesis_module._KAK_CACHE) == 0
 
     def test_clear_experiment_caches_empties_the_nuop_tiers(self):
         decomposer = NuOpDecomposer(max_layers=1)
-        decomposer.fidelity_profile(haar_targets(1, seed=4)[0], gate=CATALOGUE_GATES[0])
+        decomposer.decompose_exact(haar_targets(1, seed=4)[0], gate=CATALOGUE_GATES[0])
         assert profile_cache_stats()["entries"] == 1
         clear_experiment_caches()
         assert profile_cache_stats()["entries"] == 0
-        assert len(decomposer_module._COORDINATE_CACHE) == 0
+        assert len(synthesis_module._KAK_CACHE) == 0
 
-    def test_skipped_counts_record_generator_offsets(self):
+    def test_counts_record_generator_offsets(self):
         decomposer = NuOpDecomposer()
         gate = CATALOGUE_GATES[2]
         profile = decomposer.fidelity_profile(haar_targets(1, seed=6)[0], gate=gate)
-        offsets = [solution.rng_offset for solution in profile]
         sizes = [
             decomposer._make_template(layers, gate, None).num_parameters
             for layers in range(len(profile))
         ]
-        # One random start per count (no confirmation restarts here), except
-        # CZ layers 2-3, which are synthesised and draw nothing.
-        draws = [size if layers < 2 else 0 for layers, size in enumerate(sizes)]
-        assert offsets == list(np.cumsum([0] + draws[:-1]))
+        # Every CZ count is built: one random start per count (no near
+        # misses here), as the optimiser would have drawn.
+        offsets = [solution.rng_offset for solution in profile]
+        assert offsets == list(np.cumsum([0] + sizes[:-1]))

@@ -6,17 +6,18 @@ Contracts under test (:mod:`repro.core.decomposer`,
 * **lazy == eager** -- a profile examines layer counts only as far as a
   query needs them, yet every ``decompose_approximate`` and
   ``decompose_exact`` result is byte-identical to the test-local loop
-  that optimises every count on one shared restart generator (and
-  synthesises layers 2-3 of CZ- and iSWAP-class gates, drawing nothing),
-  followed by Eq. 2 or the exact rule.  Queries run in shuffled orders on a cold
-  cache, so profiles are extended by several queries; after a partial
-  set of queries ``fidelity_profile()`` completes each profile to the
-  loop's counts, generator offsets and (for optimised counts) values;
+  that examines every count in turn (built where synthesis applies,
+  advancing one shared restart generator as the optimiser would,
+  otherwise optimised on it), followed by Eq. 2 or the exact rule.
+  Queries run in shuffled orders on a cold cache, so profiles are
+  extended by several queries; after a partial set of queries
+  ``fidelity_profile()`` completes each profile to the loop's counts,
+  generator offsets and values;
 * **cross-type pruning** -- ``decompose_with_instruction_set`` floors
   each later gate type at the best ``F_d * F_h`` so far; the chosen
   label, parameters and ``F_h`` match the unpruned per-type loop under
   random per-edge fidelities and exact ties, and a type Eq. 2 rules out
-  from its bounds makes no objective evaluation.
+  from its bounds is not examined further.
 """
 
 from __future__ import annotations
@@ -24,16 +25,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.decomposer import (
-    LayerSolution,
-    NuOpDecomposer,
-    clear_profile_cache,
-    supercontrolled_kind,
-    synthesise_supercontrolled,
-)
+from repro.core.decomposer import LayerSolution, NuOpDecomposer, clear_profile_cache
 from repro.core.gate_types import all_google_types, rigetti_gate_type
 from repro.core.instruction_sets import google_instruction_set, rigetti_instruction_set
 from repro.core.noise_adaptive import decompose_with_instruction_set
+from repro.core.synthesis import synthesise, synthesises
 from repro.core.templates import TemplateSpec
 from repro.gates.kak import weyl_coordinates
 from repro.gates.parametric import cphase
@@ -50,17 +46,20 @@ THRESHOLDS = (1.0 - 1e-6, 0.99)
 
 
 def all_counts_profile(decomposer, target, gate, family):
-    """Every count optimised in turn on one shared generator, with offsets;
-    supercontrolled layers 2-3 are synthesised and draw nothing."""
+    """Every count in turn, with offsets: built where synthesis applies
+    (advancing the shared generator as the optimiser would), otherwise
+    optimised on that generator."""
     rng = np.random.default_rng(decomposer.seed)
-    kind = None if gate is None else supercontrolled_kind(weyl_coordinates(gate.matrix))
+    target_point = weyl_coordinates(target)
+    gate_point = None if gate is None else weyl_coordinates(gate.matrix)
     profile, offset = [], 0
     for num_layers in range(decomposer.max_layers + 1):
-        if kind is not None and num_layers in (2, 3):
-            fidelity, params = synthesise_supercontrolled(target, gate.matrix, kind, num_layers)
-            draws = 0
+        template = decomposer._make_template(num_layers, gate, family)
+        if synthesises(target_point, gate_point, family, num_layers):
+            fidelity, params = synthesise(target, template)
+            draws = decomposer._restart_draws(template, fidelity)
+            rng.random(draws)
         else:
-            template = decomposer._make_template(num_layers, gate, family)
             fidelity, params, draws = decomposer._optimise_template(target, template, rng)
         profile.append(LayerSolution(num_layers, fidelity, params, offset))
         offset += draws
@@ -159,8 +158,8 @@ class TestLazyEqualsEager:
             assert offsets == [solution.rng_offset for solution in reference]
             assert offsets == sorted(offsets)
             for mine, theirs in zip(profile, reference):
-                if mine.parameters is None:  # closed form: an upper bound
-                    assert mine.fidelity >= theirs.fidelity - 1e-9
+                if mine.parameters is None:  # closed form, built on selection
+                    assert abs(mine.fidelity - theirs.fidelity) < 1e-12
                 else:
                     assert mine.fidelity == theirs.fidelity
                     assert mine.parameters.tobytes() == theirs.parameters.tobytes()
@@ -241,7 +240,10 @@ class TestCrossTypePruning:
         assert got.gate_type_label == instruction_set.gate_types[0].label
 
     def test_ruled_out_type_makes_no_objective_evaluation(self, monkeypatch):
-        """A CZ target on an edge where CZ is good and XY(pi) is poor."""
+        """A CZ target on an edge where CZ is good and XY(pi) is poor.
+
+        One CZ layer is built, so neither type evaluates the objective;
+        XY(pi) stops at its floor without building anything."""
         instruction_set = CROSS_TYPE_SETS["Aspen-8 CZ+XY(pi)"]
         cz_key, xy_key = instruction_set.type_keys()
         evaluations = [0]
@@ -269,6 +271,9 @@ class TestCrossTypePruning:
         assert chosen.num_layers == 1
         (cz_label, cz_result, cz_evals), (xy_label, xy_result, xy_evals) = per_call
         assert (cz_label, xy_label) == ("S3", "S4")
-        assert cz_result is chosen and cz_evals > 0
+        assert cz_result is chosen and cz_evals == 0
         assert xy_result is None and xy_evals == 0
+        xy_gate = instruction_set.gate_types[1].gate
+        xy_profile = decomposer._cached_profile(CZ, xy_gate, None, None)[1]
+        assert all(entry.parameters is None for entry in xy_profile.entries)
         assert unpruned(decomposer, CZ, instruction_set, fidelities, 1.0).gate_type_label == "S3"

@@ -306,6 +306,13 @@ class TestMinimalGateCounts:
         assert min_iswap_count(standard.CZ) == 2
         assert min_iswap_count(standard.SWAP) == 3
 
+    def test_iswap_plane_is_read_to_atol(self, rng):
+        """``z = 5e-5`` is off the two-iSWAP plane, as ``min_cz_count`` agrees."""
+        target = canonical_unitary((QUARTER, 0.3, 5e-5))
+        assert min_iswap_count(target) == 3
+        assert min_cz_count(target) == 3
+        assert min_iswap_count(random_local(rng) @ canonical_unitary((QUARTER, 0.3, 0.0))) == 2
+
     def test_sqrt_iswap_counts(self):
         assert min_sqrt_iswap_count(standard.SQRT_ISWAP) == 1
         assert min_sqrt_iswap_count(standard.ISWAP) == 2

@@ -4,7 +4,10 @@
 answered clearly sub-exact layer counts in closed form, and recaptured
 when it began synthesising layers 2-3 of CZ- and iSWAP-class gates from
 KAK decompositions (which moved only the S3, G3 and R2 compiles' keys,
-fingerprints, ``F_d`` and ``mean_metric``).  It pins, for the
+fingerprints, ``F_d`` and ``mean_metric``), and again when it began
+building every count with a known answer (zero and one layer of every
+type, sqrt(iSWAP) layer 3, FullXY/FullfSim layers 2-3; every key moved,
+no 2q count did, and only FullXY/FullfSim ``mean_metric`` moved).  It pins, for the
 eight specs of the benchmark's design study (seed 7): the compile-cache
 key digest, compiled-circuit fingerprint, 2q count and per-operation
 ``F_d`` of every (instruction set, circuit) compile, and the study rows.
@@ -189,8 +192,9 @@ def main(argv=None) -> int:
     data = {
         "_about": (
             "Cold design study (benchmark specs, seed 7) and quick report text, "
-            "captured before closed-form sub-exact NuOp layer counts and recaptured "
-            "with KAK-synthesised CZ/iSWAP layers 2-3. "
+            "captured before closed-form sub-exact NuOp layer counts, recaptured "
+            "with KAK-synthesised CZ/iSWAP layers 2-3 and again with every NuOp "
+            "layer count that has a known answer built instead of optimised. "
             "See tests/test_golden_design_study.py."
         ),
         **data,

@@ -49,12 +49,14 @@ from repro.simulators.noise import depolarizing_channel
 from repro.simulators.noise_model import NoiseModel, relaxation_channel
 from repro.simulators.noise_program import NoiseProgram, build_noise_program
 from repro.simulators.statevector import zero_state, zero_states
+from repro.simulators import superop as superop_module
 from repro.simulators.superop import (
     apply_superop_program,
     apply_trajectory_plan_to_state,
     apply_trajectory_plan_to_states,
     channel_superoperator,
     is_cptp_superoperator,
+    kraus_to_superoperator,
     lower_noise_program,
     superop_program_for,
     superoperator_to_choi,
@@ -146,6 +148,20 @@ class TestSuperoperatorAlgebra:
         choi = superoperator_to_choi(superop)
         bell = np.array([1, 0, 0, 1], dtype=complex)
         assert np.allclose(choi, np.outer(bell, bell.conj()), atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_lowering_is_byte_equal_to_np_kron(self, rng, dim):
+        """The broadcast products do the multiplies ``np.kron`` does."""
+        for _ in range(5):
+            ops = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(3)]
+            op = ops[0]
+            assert unitary_superoperator(op).tobytes() == np.kron(op, op.conj()).tobytes()
+            want = np.zeros((dim * dim, dim * dim), dtype=complex)
+            for k in ops:
+                want += np.kron(k, k.conj())
+            assert kraus_to_superoperator(ops).tobytes() == want.tobytes()
+            eye = np.eye(2, dtype=complex)
+            assert superop_module._kron(op, eye).tobytes() == np.kron(op, eye).tobytes()
 
     def test_non_tp_map_is_rejected(self):
         # Half an amplitude-damping channel: CP but not trace preserving.
