@@ -14,7 +14,11 @@ The calls are then answered twice from a cold profile cache:
   turn (a test-local copy): built where synthesis applies, advancing one
   shared restart generator as the optimiser would, otherwise optimised
   on it; then Eq. 2 per type and the per-type ``+1e-12`` selection over
-  each query.
+  each query.  Each built count's ``F_d``, measured on its template, is
+  checked to 1e-12 against the optimum known without building it: the
+  closed form at zero and one layer, ``|cos t_z|`` at two CZ- or
+  iSWAP-class layers, and 1 at three layers and at two FullXY/FullfSim
+  layers inside ``x >= y + |z|``.
 
 Recorded in the ``BENCH_17.json`` artifact when run with
 ``REPRO_BENCH_JSON=BENCH_17.json``: calls, queries, distinct profiles,
@@ -22,7 +26,8 @@ objective evaluations and wall time of both paths, how many layer counts
 the shipped profiles optimised, built, left at their closed form (never
 selected) or never examined, the built and closed-form counts split by
 form (``none_L0``, ``fixed_L1``, ``cz_L2``, ``sqrt_iswap_L3``,
-``FullXY_L2`` ...), and how many gate types the floor pruned.  The
+``FullXY_L2`` ...), how many gate types the floor pruned, and the
+largest gap between a built ``F_d`` and its known optimum.  The
 asserts check that every decomposition the shipped path returns, and
 every query's winner, is byte-identical to the reference; that a pruned
 type would not have won its query; that the shipped path makes no more
@@ -44,7 +49,13 @@ from repro.applications.registry import build_suite
 from repro.core.decomposer import LayerSolution, NuOpDecomposer, clear_profile_cache
 from repro.core.instruction_sets import google_catalogue, rigetti_catalogue
 from repro.core.pipeline import compile_circuit
-from repro.core.synthesis import gate_kind, matrix_key, synthesise, synthesises
+from repro.core.synthesis import (
+    closed_form_fidelity,
+    gate_kind,
+    matrix_key,
+    synthesise,
+    synthesises,
+)
 from repro.core.templates import TemplateSpec
 from repro.devices.synthetic import synthetic_device
 from repro.gates.kak import weyl_coordinates
@@ -68,9 +79,22 @@ def form(num_layers, gate, family):
     return f"{kind}_L{num_layers}"
 
 
-def reference_profile(decomposer, target, gate, family, limit):
+def known_optimum(target_point, gate_point, family, num_layers):
+    """Best ``F_d`` of a count synthesis builds, worked out without building it."""
+    if num_layers < 2:
+        return closed_form_fidelity(target_point, gate_point, family, num_layers)
+    if num_layers == 2 and family is None:  # CZ- or iSWAP-class: t_z dropped
+        return abs(np.cos(target_point[2]))
+    return 1.0  # three layers, or two family layers inside x >= y + |z|
+
+
+def reference_profile(decomposer, target, gate, family, limit, gaps):
     """The all-counts loop: every count in turn, built where synthesis
-    applies, otherwise optimised on one shared restart generator."""
+    applies, otherwise optimised on one shared restart generator.
+
+    A built count's ``F_d``, measured on its template, must be its
+    :func:`known_optimum` to 1e-12; each gap is appended to ``gaps``.
+    """
     rng = np.random.default_rng(decomposer.seed)
     target_point, gate_point = points(target, gate)
     profile = []
@@ -78,6 +102,10 @@ def reference_profile(decomposer, target, gate, family, limit):
         template = decomposer._make_template(num_layers, gate, family)
         if synthesises(target_point, gate_point, family, num_layers):
             fidelity, params = synthesise(target, template)
+            measured = abs(np.vdot(template.unitary(params), target)) / 4.0
+            optimum = known_optimum(target_point, gate_point, family, num_layers)
+            gaps.append(max(abs(measured - optimum), abs(fidelity - optimum)))
+            assert gaps[-1] < 1e-12, (form(num_layers, gate, family), fidelity, optimum)
             rng.random(decomposer._restart_draws(template, fidelity))
         else:
             fidelity, params, _ = decomposer._optimise_template(target, template, rng)
@@ -181,7 +209,7 @@ def test_bench_closed_form_profile(monkeypatch, bench_json_record):
 
     def profile_key(target, gate, family, layers):
         gate_key = gate.type_key if gate is not None else f"family:{family}"
-        return (decomposer._target_cache_key(target), gate_key, layers)
+        return (matrix_key(target), gate_key, layers)
 
     # The shipped profiles as the queries left them (cache hits, no evals).
     optimised = 0
@@ -209,14 +237,14 @@ def test_bench_closed_form_profile(monkeypatch, bench_json_record):
     # Reference: every count of every type examined, then Eq. 2 per type
     # and the per-type selection over each query.
     evaluations[0] = 0
-    profiles = {}
+    profiles, gaps = {}, []
     expected, kept, expected_winners = [], [], []
     started = time.perf_counter()
     for target, gate, family, fh, f1q, layers, label, floor in calls:
         key = profile_key(target, gate, family, layers)
         if key not in profiles:
             limit = decomposer.max_layers if layers is None else layers
-            profiles[key] = reference_profile(decomposer, target, gate, family, limit)
+            profiles[key] = reference_profile(decomposer, target, gate, family, limit, gaps)
         chosen, hardware = reference_approximate(profiles[key], fh, f1q)
         want = decomposer._build_decomposition(target, chosen, gate, family, hardware, label)
         if floor is None:
@@ -244,7 +272,7 @@ def test_bench_closed_form_profile(monkeypatch, bench_json_record):
     assert built_by_form.get("cz_L2", 0) > 0
     assert built_by_form.get("sqrt_iswap_L3", 0) > 0
 
-    targets = {decomposer._target_cache_key(call[0]) for call in calls}
+    targets = {matrix_key(call[0]) for call in calls}
     reference_counts = sum(len(profile) for profile in profiles.values())
     built, closed = sum(built_by_form.values()), sum(closed_by_form.values())
     unexamined = reference_counts - optimised - built - closed
@@ -260,7 +288,8 @@ def test_bench_closed_form_profile(monkeypatch, bench_json_record):
         f"wall {reference_s:.2f}s -> {shipped_s:.2f}s; "
         f"{optimised} counts optimised, {built} built ({listing(built_by_form)}), "
         f"{closed} left at their closed form ({listing(closed_by_form)}), "
-        f"{unexamined} never examined; {pruned} types pruned"
+        f"{unexamined} never examined; {pruned} types pruned; "
+        f"built F_d within {max(gaps):.1e} of the known optimum"
     )
     bench_json_record(
         calls=len(calls),
@@ -279,4 +308,5 @@ def test_bench_closed_form_profile(monkeypatch, bench_json_record):
         closed_form_counts_by_form=closed_by_form,
         unexamined_counts=unexamined,
         pruned_types=pruned,
+        built_optimum_gap=float(max(gaps)),
     )

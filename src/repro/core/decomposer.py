@@ -36,9 +36,9 @@ from repro.core.synthesis import (
     clear_kak_cache,
     closed_form_fidelity,
     matrix_key,
+    memoised_kak,
     synthesise,
     synthesises,
-    weyl_point,
 )
 from repro.core.templates import (
     TemplateSpec,
@@ -353,16 +353,6 @@ class NuOpDecomposer:
             starts += self.confirmation_restarts
         return starts * template.num_parameters
 
-    def _target_cache_key(self, target: np.ndarray) -> bytes:
-        """Exact-bytes cache key for a target, canonicalised in global phase.
-
-        Exact bytes never alias two distinct targets (a rounded key once
-        did); the phase rotation (:func:`repro.core.synthesis.matrix_key`)
-        lets targets that differ only in global phase share a profile, as
-        the objective ``|Tr(U^dagger target)| / 4`` is phase-invariant.
-        """
-        return matrix_key(target)
-
     def _profile_cache_key(self, target_key: bytes, gate_key: str, limit: int) -> Tuple:
         """Key into the process-wide profile LRU.
 
@@ -437,7 +427,7 @@ class NuOpDecomposer:
         if (gate is None) == (family is None):
             raise ValueError("provide exactly one of 'gate' or 'family'")
         limit = self.max_layers if max_layers is None else int(max_layers)
-        target_key = self._target_cache_key(target)
+        target_key = matrix_key(target)
         cache_key = self._profile_cache_key(
             target_key, gate.type_key if gate is not None else f"family:{family}", limit
         )
@@ -450,9 +440,11 @@ class NuOpDecomposer:
                 fidelity, params = synthesise(target, template)
                 solved = replace(entry, fidelity=fidelity, parameters=params)
                 return replace(profile, entries=[solved if e is entry else e for e in entries])
-            target_point = weyl_point(target, target_key)
-            gate_point = None if gate is None else weyl_point(gate.matrix)
-            known = target_point is not None and (gate is None or gate_point is not None)
+            target_kak = memoised_kak(target, target_key)
+            gate_kak = None if gate is None else memoised_kak(gate.matrix)
+            known = target_kak is not None and (gate is None or gate_kak is not None)
+            target_point = None if target_kak is None else target_kak.point
+            gate_point = None if gate_kak is None else gate_kak.point
             if known and synthesises(target_point, gate_point, family, count):
                 bound = closed_form_fidelity(target_point, gate_point, family, count)
                 if bound is not None and 1.0 - bound > skip_above:

@@ -97,12 +97,6 @@ def memoised_kak(matrix: np.ndarray, key: Optional[bytes] = None) -> Optional[Ka
     return found
 
 
-def weyl_point(matrix: np.ndarray, key: Optional[bytes] = None) -> Optional[np.ndarray]:
-    """Chamber coordinates from :func:`memoised_kak`, ``None`` when not unitary."""
-    found = memoised_kak(matrix, key)
-    return None if found is None else found.point
-
-
 # ---------------------------------------------------------------------------
 # Closed-form F_d of zero and one layer
 # ---------------------------------------------------------------------------
@@ -245,9 +239,9 @@ def synthesises(
     if kind in ("cz", "iswap"):
         return num_layers in (2, 3)
     if kind == "sqrt_iswap":
-        return num_layers == 3 or (
-            num_layers == 2 and family is not None and in_sqrt_iswap_region(target)
-        )
+        if num_layers == 3:
+            return _sqrt_iswap_split(target) is not None
+        return num_layers == 2 and family is not None and in_sqrt_iswap_region(target)
     return False
 
 
@@ -347,6 +341,23 @@ _SQRT_ISWAP_IMAGES = [
     ])
 ]
 """The 12 signed placements of ``(pi/8, pi/8, 0)``, each locally ``A(pi/8, pi/8, 0)``."""
+
+
+def _sqrt_iswap_split(point: np.ndarray) -> Optional[np.ndarray]:
+    """First placement ``g'`` whose remainder ``point - g'`` two gates reach.
+
+    ``A(point) = A(point - g') A(g')``, so three sqrt(iSWAP) gates reach
+    ``point`` through any placement whose remainder has its chamber point
+    in ``x >= y + |z|``.  Three gates reach the whole chamber (Huang et
+    al., arXiv:2105.06074), but that the 12 placements cover it
+    is only checked numerically (a 61-step grid over the chamber and
+    20,000 random points, the identity on the region's edge), so a point
+    without one gets ``None`` and its count goes to the optimiser.
+    """
+    return next(
+        (p for p in _SQRT_ISWAP_IMAGES if in_sqrt_iswap_region(chamber_point(point - p))),
+        None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +471,8 @@ def synthesise(target: np.ndarray, template: TemplateSpec) -> Tuple[float, np.nd
             middles = [_sqrt_iswap_middle(t)]
             left, right = _frame(canonical, middles)
         else:
-            # A(t) = A(t - g') A(g'): two gates reach the remainder's
-            # chamber point for some placement g' of the gate's point.
-            image = next(
-                p for p in _SQRT_ISWAP_IMAGES if in_sqrt_iswap_region(chamber_point(t - p))
-            )
+            # A(t) = A(t - g') A(g'), two gates reaching the remainder.
+            image = _sqrt_iswap_split(t)
             remainder = kak_decomposition(canonical_unitary(t - image))
             middle = _sqrt_iswap_middle(remainder.point)
             two_left, two_right = _frame(canonical, [middle])

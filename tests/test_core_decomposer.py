@@ -12,6 +12,7 @@ from repro.core.decomposer import (
     profile_cache_stats,
 )
 from repro.core.gate_types import google_gate_type
+from repro.core.synthesis import matrix_key
 from repro.gates.kak import min_cz_count
 from repro.gates.parametric import cphase, rzz
 from repro.gates.standard import CZ, SWAP
@@ -162,20 +163,15 @@ class TestCachingAndBookkeeping:
         rotation cancels it bit for bit.  Other phases canonicalise only
         approximately -- a miss there costs a recompute, never
         correctness."""
-        decomposer = NuOpDecomposer()
         target = random_su4(rng)
-        key = decomposer._target_cache_key(target)
-        assert decomposer._target_cache_key(-target) == key
+        assert matrix_key(-target) == matrix_key(target)
 
     def test_target_key_has_no_rounding_aliasing(self, rng):
         """Sub-1e-10 perturbations used to collide under decimal rounding."""
-        decomposer = NuOpDecomposer()
         target = random_su4(rng)
         perturbed = target.copy()
         perturbed[1, 2] += 1e-11
-        assert decomposer._target_cache_key(target) != decomposer._target_cache_key(
-            perturbed
-        )
+        assert matrix_key(target) != matrix_key(perturbed)
 
     def test_profile_lru_bound(self, rng, monkeypatch):
         monkeypatch.setattr(decomposer_module._PROFILE_CACHE, "max_entries", 4)

@@ -12,7 +12,8 @@ Contracts under test (:mod:`repro.core.synthesis`, :mod:`repro.core.decomposer`)
   three rebuild the target to 1e-10; the two-sqrt(iSWAP) middle hits
   points of ``x >= y + |z|`` to 1e-8; three sqrt(iSWAP)-class layers
   (fixed, FullXY, FullfSim) and two FullXY / FullfSim layers inside the
-  region reach ``F_d >= 1 - 1e-10``;
+  region reach ``F_d >= 1 - 1e-10``; a target no signed placement of
+  the gate splits is optimised at three layers, not built;
 * **reachability** -- on 10 targets per type a 60-restart optimiser
   reaches every closed form to 1e-8; where the default optimiser sits in
   a local minimum (one ``xy(2pi/3)`` and one FullfSim target), a query
@@ -413,6 +414,18 @@ class TestSynthesis:
             fidelity, params = synthesise(target, template)
             assert fidelity >= 1.0 - 1e-10
             assert rebuild_error(template.unitary(params), target) < 1e-7
+
+    def test_three_sqrt_iswap_layers_without_a_placement_are_optimised(self, monkeypatch):
+        """A target no placement splits falls back to L-BFGS-B, not an error."""
+        monkeypatch.setattr(synthesis_module, "_SQRT_ISWAP_IMAGES", [])
+        gate = google_gate_type("S2").gate
+        target = dressed((0.6, 0.5, 0.3), seed=113)  # outside x >= y + |z|
+        assert not synthesises(weyl_coordinates(target), gate_point(gate), None, 3)
+        clear_profile_cache()
+        profile = NuOpDecomposer(max_layers=3).fidelity_profile(target, gate=gate)
+        assert len(profile) == 4 and profile[3].parameters is not None
+        assert profile[3].fidelity >= 1.0 - 1e-6
+        clear_profile_cache()
 
     @pytest.mark.parametrize("family", ["xy", "fsim"])
     def test_two_family_layers_inside_the_region_are_exact(self, family):
